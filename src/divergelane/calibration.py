@@ -6,28 +6,32 @@ four conditions per data point is a sign constraint on a product that is
 affine in a *linearized* coefficient vector: the bifurcating rate multiplied
 by a capacity factor is treated as a single variable (``cb_lambda1 = cb *
 lambda1`` and so on), which keeps every constraint linear while the factors
-themselves are recovered by division afterwards.
+themselves are recovered by division afterwards.  A condition is violated
+when its product exceeds the margin ``epsilon`` (:func:`count_violations`).
 
 Two solvers share that encoding:
 
-* :func:`calibrate_exact` — branch and bound over the per-condition
-  indicator assignment with a linear-feasibility subproblem per node,
-  returning a provably minimal violation count (guarded to small instances).
+* :func:`calibrate_exact` — one mixed-integer program (:func:`build_milp`,
+  one indicator per condition) solved by HiGHS through
+  :func:`scipy.optimize.milp`, returning a provably minimal violation count
+  (guarded to small instances).
 * :func:`calibrate_search` — seeded multi-start randomized search with
   coordinate refinement, scalable to any size but only a heuristic
   certificate.
-
-The indicator/big-M inequality system itself is available through
-:func:`build_milp` as a self-contained description.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import math
+import os
+import sys
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .model import (
     FACTOR_FLOOR,
@@ -43,7 +47,6 @@ from .model import (
 COEFFICIENT_NAMES = ("cf1", "cf2", "cb", "lambda1", "lambda2", "mu1", "mu2", "nu")
 RATE_NAMES = ("cf1", "cf2", "cb", "nu")
 FACTOR_NAMES = ("lambda1", "lambda2", "mu1", "mu2")
-CONDITION_NAMES = ("f1", "b1", "f2", "b2")
 
 DEFAULT_LOWER_BOUNDS: dict[str, float] = {
     **{name: 1.0 for name in RATE_NAMES},
@@ -53,13 +56,6 @@ DEFAULT_UPPER_BOUNDS: dict[str, float] = {
     **{name: 10.0 for name in RATE_NAMES},
     **{name: 1.0 for name in FACTOR_NAMES},
 }
-
-_LP_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
-
 
 class ConfigurationError(ValueError):
     """Calibration options are inconsistent (e.g. a lower bound above an upper)."""
@@ -86,15 +82,13 @@ class DataPoint:
 class CalibrationOptions:
     """Knobs shared by both calibration solvers.
 
-    ``big_m`` and ``epsilon`` parametrize the indicator encoding (``epsilon``
-    doubles as the violation-counting margin, so it should be scaled to the
-    data's noise floor: 1e-6 suits solver-generated data, while simulator
-    output typically needs 1e-3 to 1e-2).  ``lower_bounds``/``upper_bounds``
-    override the default coefficient box (rates in [1, 10], factors in
-    (0, 1]).
+    ``epsilon`` is the violation-counting margin: a condition is violated
+    when its product exceeds it.  Scale it to the data's noise floor: 1e-6
+    suits solver-generated data, while simulator output typically needs 1e-3
+    to 1e-2.  ``lower_bounds``/``upper_bounds`` override the default
+    coefficient box (rates in [1, 10], factors in (0, 1]).
     """
 
-    big_m: float = 1e3
     epsilon: float = 1e-6
     symmetry: bool = False
     lower_bounds: Mapping[str, float] | None = None
@@ -105,12 +99,8 @@ class CalibrationOptions:
     max_exact_binaries: int = 28
 
     def __post_init__(self) -> None:
-        if not self.big_m > 0:
-            raise ValueError(f"big_m must be > 0, got {self.big_m!r}")
-        if not 0 < self.epsilon < self.big_m:
-            raise ValueError(
-                f"epsilon must lie in (0, big_m), got {self.epsilon!r} with big_m {self.big_m!r}"
-            )
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if self.solver not in ("exact", "heuristic"):
             raise ValueError(f"solver must be 'exact' or 'heuristic', got {self.solver!r}")
         if self.restarts < 1:
@@ -245,21 +235,19 @@ def _merge_bounds(
 @dataclass(frozen=True)
 class _VariableSpace:
     """Linearized continuous variables, their box, and the coupling rows
-    tying each rate-times-factor product to its rate variable."""
+    (each ``row . z <= 0``) tying each rate-times-factor product to the
+    bounds of its factor times its rate variable."""
 
     symmetry: bool
     names: tuple[str, ...]
     box: tuple[tuple[float, float], ...]
     coupling_matrix: np.ndarray
-    coupling_rhs: np.ndarray
-    coupling_labels: tuple[str, ...]
     factor_bounds: dict[str, tuple[float, float]]
     rate_bounds: dict[str, tuple[float, float]]
 
 
 def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
     bounds = _resolve_bounds(opts)
-    rows: list[tuple[dict[str, float], float, str]] = []
     if opts.symmetry:
         cf = _merge_bounds(bounds, ("cf1", "cf2", "cb"))
         lam = _merge_bounds(bounds, ("lambda1", "lambda2"))
@@ -274,9 +262,6 @@ def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
         )
         factor_bounds = {"cb_lambda": lam, "cb_mu": mu}
         rate_bounds = {"cf": cf, "nu": nu}
-        for product, (lb, ub) in factor_bounds.items():
-            rows.append(({product: 1.0, "cf": -ub}, 0.0, f"{product} <= {ub} * cf"))
-            rows.append(({product: -1.0, "cf": lb}, 0.0, f"{product} >= {lb} * cf"))
     else:
         names = ("cf1", "cf2", "cb", "cb_lambda1", "cb_lambda2", "cb_mu1", "cb_mu2", "nu")
         factor_bounds = {
@@ -297,25 +282,16 @@ def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
             ),
             bounds["nu"],
         )
-        for product, (lb, ub) in factor_bounds.items():
-            rows.append(({product: 1.0, "cb": -ub}, 0.0, f"{product} <= {ub} * cb"))
-            rows.append(({product: -1.0, "cb": lb}, 0.0, f"{product} >= {lb} * cb"))
-    index = {name: i for i, name in enumerate(names)}
-    matrix = np.zeros((len(rows), len(names)))
-    rhs = np.zeros(len(rows))
-    labels = []
-    for r, (coeffs, b, label) in enumerate(rows):
-        for name, value in coeffs.items():
-            matrix[r, index[name]] = value
-        rhs[r] = b
-        labels.append(label)
+    rate = names.index("cf" if opts.symmetry else "cb")
+    matrix = np.zeros((2 * len(factor_bounds), len(names)))
+    for r, (product, (lb, ub)) in enumerate(factor_bounds.items()):
+        matrix[2 * r, [names.index(product), rate]] = (1.0, -ub)  # product <= ub * rate
+        matrix[2 * r + 1, [names.index(product), rate]] = (-1.0, lb)  # product >= lb * rate
     return _VariableSpace(
         symmetry=opts.symmetry,
         names=names,
         box=box,
         coupling_matrix=matrix,
-        coupling_rhs=rhs,
-        coupling_labels=tuple(labels),
         factor_bounds=factor_bounds,
         rate_bounds=rate_bounds,
     )
@@ -345,36 +321,28 @@ def linearized_values(c: CostCoefficients, symmetry: bool) -> dict[str, float]:
 def _condition_matrix(arrays: _Arrays, space: _VariableSpace) -> np.ndarray:
     """Affine condition coefficients: row (4k + j) gives condition j of
     point k as a dot product with the linearized variables."""
-    K = arrays.xf1.shape[0]
-    n = len(space.names)
-    index = {name: i for i, name in enumerate(space.names)}
-    rows = np.zeros((4 * K, n))
-    cross = arrays.xb1 * arrays.xb2
-    for k in range(K):
-        xf1, xb1, xf2, xb2 = arrays.xf1[k], arrays.xb1[k], arrays.xf2[k], arrays.xb2[k]
-        gap1 = np.zeros(n)
-        gap2 = np.zeros(n)
-        if space.symmetry:
-            gap1[index["cf"]] = xf1
-            gap1[index["cb_lambda"]] = -xb1
-            gap1[index["cb_mu"]] = -xb2
-            gap2[index["cf"]] = xf2
-            gap2[index["cb_lambda"]] = -xb2
-            gap2[index["cb_mu"]] = -xb1
-        else:
-            gap1[index["cf1"]] = xf1
-            gap1[index["cb_lambda1"]] = -xb1
-            gap1[index["cb_mu1"]] = -xb2
-            gap2[index["cf2"]] = xf2
-            gap2[index["cb_lambda2"]] = -xb2
-            gap2[index["cb_mu2"]] = -xb1
-        gap1[index["nu"]] = -cross[k]
-        gap2[index["nu"]] = -cross[k]
-        rows[4 * k + 0] = xf1 * gap1
-        rows[4 * k + 1] = -xb1 * gap1
-        rows[4 * k + 2] = xf2 * gap2
-        rows[4 * k + 3] = -xb2 * gap2
-    return rows
+    a = arrays
+    col = space.names.index
+    f1, l1, m1, f2, l2, m2 = (
+        ("cf", "cb_lambda", "cb_mu") * 2
+        if space.symmetry
+        else ("cf1", "cb_lambda1", "cb_mu1", "cf2", "cb_lambda2", "cb_mu2")
+    )
+    gap1 = np.zeros((a.xf1.shape[0], len(space.names)))
+    gap2 = np.zeros_like(gap1)
+    gap1[:, col(f1)], gap1[:, col(l1)], gap1[:, col(m1)] = a.xf1, -a.xb1, -a.xb2
+    gap2[:, col(f2)], gap2[:, col(l2)], gap2[:, col(m2)] = a.xf2, -a.xb2, -a.xb1
+    gap1[:, col("nu")] = gap2[:, col("nu")] = -(a.xb1 * a.xb2)
+    rows = np.stack(
+        (
+            a.xf1[:, None] * gap1,
+            -a.xb1[:, None] * gap1,
+            a.xf2[:, None] * gap2,
+            -a.xb2[:, None] * gap2,
+        ),
+        axis=1,
+    )
+    return rows.reshape(-1, len(space.names))
 
 
 def _recover_coefficients(z: np.ndarray, space: _VariableSpace) -> CostCoefficients:
@@ -399,121 +367,94 @@ def _recover_coefficients(z: np.ndarray, space: _VariableSpace) -> CostCoefficie
 
 
 # ---------------------------------------------------------------------------
-# Indicator / big-M system description
+# Exact solver: one mixed-integer program, solved by HiGHS
 
 
-@dataclass(frozen=True)
-class LinearRow:
-    """One inequality ``sum(coeffs[v] * v) <= rhs`` over continuous and
-    binary variables."""
-
-    coeffs: dict[str, float]
-    rhs: float
-    label: str
-
-
-@dataclass(frozen=True)
-class MilpSystem:
-    """Self-contained description of the calibration feasibility program:
-    minimize the sum of the binaries subject to ``rows`` and ``bound_rows``."""
-
-    continuous: tuple[str, ...]
-    binaries: tuple[str, ...]
-    rows: tuple[LinearRow, ...]
-    bound_rows: tuple[LinearRow, ...]
-
-    @property
-    def objective(self) -> tuple[str, ...]:
-        return self.binaries
+def _flush_c_stdio() -> None:
+    """``fflush(NULL)``: push the C library's stdio buffers to their files."""
+    try:
+        fflush = ctypes.CDLL(None).fflush
+    except (OSError, TypeError, AttributeError):  # no C library handle here
+        return
+    fflush.argtypes = (ctypes.c_void_p,)
+    fflush.restype = ctypes.c_int
+    fflush(None)
 
 
-def build_milp(data: Sequence[DataPoint], opts: CalibrationOptions) -> MilpSystem:
-    """Emit the indicator/big-M inequality system for ``data``.
+@contextlib.contextmanager
+def _c_stdout_silenced() -> Iterator[None]:
+    """Point file descriptor 1 at the null device for the duration.
 
-    Each (point, condition) pair contributes one binary ``e`` and two rows:
-    ``P <= T*e - eps`` and ``-P <= T*(1 - e) - eps``, where ``P`` is the
-    condition product written as an affine form in the linearized
-    coefficient variables.  Box and factor-coupling constraints are emitted
-    separately as ``bound_rows``.
+    HiGHS prints some MIP diagnostics from C++ straight to standard output
+    even with its display off, which would corrupt a coefficients file the
+    CLI writes to stdout.  C stdio is flushed on both sides of the switch
+    (a piped stdout is fully buffered).  Not safe against other threads
+    writing to stdout meanwhile.
+    """
+    sys.stdout.flush()
+    try:
+        saved = os.dup(1)
+    except OSError:  # no stdout to protect
+        yield
+        return
+    try:
+        _flush_c_stdio()
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), 1)
+        yield
+    finally:
+        _flush_c_stdio()
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
+def build_milp(
+    data: Sequence[DataPoint], opts: CalibrationOptions
+) -> tuple[np.ndarray, np.ndarray, Bounds, LinearConstraint]:
+    """The exact-calibration MILP as ``(c, integrality, bounds, constraints)``,
+    the arguments of :func:`scipy.optimize.milp`.
+
+    Columns are the linearized coefficients ``z`` within their box, one
+    binary ``e`` per condition (row order of :func:`_condition_matrix`), and
+    a margin ``s`` in [0, 1].  Condition ``k`` gives the row
+    ``A_k.z - T_k*e_k + eps*s <= eps``, where ``T_k`` is the largest value
+    ``A_k.z`` takes on the box, so ``e_k = 1`` releases the row; the
+    factor-coupling rows follow.  The objective is ``sum(e) - s/2``.
     """
     space = _variable_space(opts)
-    arrays = _data_arrays(data)
-    matrix = _condition_matrix(arrays, space)
-    T = opts.big_m
+    A = _condition_matrix(_data_arrays(data), space)
+    m, n = A.shape
+    lo, hi = np.array(space.box).T
+    T = np.maximum(0.0, np.maximum(A * lo, A * hi).sum(axis=1))
     eps = opts.epsilon
-    rows: list[LinearRow] = []
-    binaries: list[str] = []
-    for k in range(len(data)):
-        for j, cond in enumerate(CONDITION_NAMES):
-            e_name = f"e_{cond}[{k + 1}]"
-            binaries.append(e_name)
-            a = matrix[4 * k + j]
-            forward = {name: float(v) for name, v in zip(space.names, a) if v != 0.0}
-            backward = {name: -float(v) for name, v in zip(space.names, a) if v != 0.0}
-            rows.append(
-                LinearRow({**forward, e_name: -T}, -eps, f"k={k + 1} {cond}: P <= T*e - eps")
-            )
-            rows.append(
-                LinearRow(
-                    {**backward, e_name: T}, T - eps, f"k={k + 1} {cond}: -P <= T*(1-e) - eps"
-                )
-            )
-    bound_rows: list[LinearRow] = []
-    for coeffs_row, rhs, label in zip(
-        space.coupling_matrix, space.coupling_rhs, space.coupling_labels
-    ):
-        coeffs = {
-            name: float(v) for name, v in zip(space.names, coeffs_row) if v != 0.0
-        }
-        bound_rows.append(LinearRow(coeffs, float(rhs), label))
-    for name, (lb, ub) in zip(space.names, space.box):
-        bound_rows.append(LinearRow({name: -1.0}, -lb, f"{name} >= {lb}"))
-        bound_rows.append(LinearRow({name: 1.0}, ub, f"{name} <= {ub}"))
-    return MilpSystem(
-        continuous=space.names,
-        binaries=tuple(binaries),
-        rows=tuple(rows),
-        bound_rows=tuple(bound_rows),
+    coupling = space.coupling_matrix
+    rows = np.block(
+        [
+            [A, -np.diag(T), np.full((m, 1), eps)],
+            [coupling, np.zeros((coupling.shape[0], m + 1))],
+        ]
     )
-
-
-# ---------------------------------------------------------------------------
-# Exact solver: branch and bound over indicator assignments
-
-
-def _feasible_point(
-    condition_rows: np.ndarray, space: _VariableSpace
-) -> np.ndarray | None:
-    """Any point of the coefficient box satisfying the given condition rows
-    (each ``row . z <= 0``) and the factor-coupling constraints."""
-    if condition_rows.shape[0]:
-        A_ub = np.vstack((condition_rows, space.coupling_matrix))
-        b_ub = np.concatenate((np.zeros(condition_rows.shape[0]), space.coupling_rhs))
-    else:
-        A_ub = space.coupling_matrix
-        b_ub = space.coupling_rhs
-    result = linprog(
-        c=np.zeros(len(space.names)),
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=list(space.box),
-        method="highs",
-        options=_LP_OPTIONS,
+    c = np.concatenate((np.zeros(n), np.ones(m), [-0.5]))
+    integrality = np.concatenate((np.zeros(n), np.ones(m), [0.0]))
+    bounds = Bounds(np.concatenate((lo, np.zeros(m + 1))), np.concatenate((hi, np.ones(m + 1))))
+    constraints = LinearConstraint(
+        rows, -np.inf, np.concatenate((np.full(m, eps), np.zeros(coupling.shape[0])))
     )
-    if result.status != 0 or result.x is None:
-        return None
-    return np.asarray(result.x, dtype=float)
+    return c, integrality, bounds, constraints
 
 
 def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> CalibrationResult:
-    """Minimize the violation count exactly by branch and bound.
+    """Minimize the violation count exactly by solving :func:`build_milp`.
 
-    Nodes fix a subset of conditions as satisfied (product <= 0, the
-    equilibrium inequality itself) or as counted violations; a linear
-    feasibility subproblem over the bounded, linearized coefficient box
-    decides each node.  Refuses instances with more than
-    ``opts.max_exact_binaries`` conditions; use :func:`calibrate_search`
-    (or raise the guard) beyond that.
+    Any coefficient vector violating ``n`` conditions at ``opts.epsilon``
+    gives a feasible point with ``sum(e) = n`` and ``s = 0``, and the margin,
+    worth at most 1/2, never pays for a binary; so the solver's proven bound
+    on ``sum(e)`` is a lower bound on the violation count.  The margin pushes
+    the satisfied products to <= 0 where it can.  The recovered
+    coefficients are recounted with :func:`count_violations`, and the
+    certificate is ``exact`` only when the recount meets the bound.
+    Refuses instances with more than ``opts.max_exact_binaries`` conditions;
+    use :func:`calibrate_search` (or raise the guard) beyond that.
     """
     K = len(data)
     if K == 0:
@@ -526,62 +467,20 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
             f"(calibrate_search) or raise max_exact_binaries"
         )
     space = _variable_space(opts)
-    arrays = _data_arrays(data)
-    matrix = _condition_matrix(arrays, space)
-    close_tol = min(opts.epsilon, 1e-8)
-
-    best_count: int = n_conditions + 1
-    best_coeffs: CostCoefficients | None = None
-    best_report: ViolationCount | None = None
-
-    def consider(candidate: CostCoefficients) -> None:
-        nonlocal best_count, best_coeffs, best_report
-        report = count_violations(candidate, data, opts.epsilon)
-        key = (report.count, candidate.as_tuple())
-        if best_coeffs is None or key < (best_count, best_coeffs.as_tuple()):
-            best_count = report.count
-            best_coeffs = candidate
-            best_report = report
-
-    # Stack of (satisfied, violated, free) index tuples; satisfied branches
-    # are pushed last so they are explored first.
-    stack: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = [
-        ((), (), tuple(range(n_conditions)))
-    ]
-    while stack:
-        satisfied, violated, free = stack.pop()
-        if len(violated) >= best_count:
-            continue
-        # Optimistic check: can everything not yet counted be satisfied?
-        witness = _feasible_point(matrix[list(satisfied) + list(free)], space)
-        if witness is not None:
-            consider(_recover_coefficients(witness, space))
-            continue
-        if free == ():
-            continue
-        witness = _feasible_point(matrix[list(satisfied)], space)
-        if witness is None:
-            continue
-        products = matrix[list(free)] @ witness
-        worst = int(np.argmax(products))
-        if products[worst] <= close_tol:
-            consider(_recover_coefficients(witness, space))
-            continue
-        chosen = free[worst]
-        remaining = free[:worst] + free[worst + 1 :]
-        stack.append((satisfied, violated + (chosen,), remaining))
-        stack.append((satisfied + (chosen,), violated, remaining))
-
-    if best_coeffs is None or best_report is None:
-        raise ConfigurationError(
-            "no admissible coefficient vector exists for the given bounds"
-        )
+    c, integrality, bounds, constraints = build_milp(data, opts)
+    with _c_stdout_silenced():
+        result = milp(c, integrality=integrality, bounds=bounds, constraints=constraints)
+    if result.x is None:
+        raise ConfigurationError(f"the calibration MILP has no solution: {result.message}")
+    coefficients = _recover_coefficients(result.x[: len(space.names)], space)
+    report = count_violations(coefficients, data, opts.epsilon)
+    lower_bound = math.ceil(result.mip_dual_bound - 1e-6)
     return CalibrationResult(
-        coefficients=best_coeffs,
-        violations=best_report.count,
-        indicator_assignment=best_report.flags,
-        certificate="exact",
-        uniqueness=check_uniqueness_condition(best_coeffs),
+        coefficients=coefficients,
+        violations=report.count,
+        indicator_assignment=report.flags,
+        certificate="exact" if report.count == lower_bound else "heuristic",
+        uniqueness=check_uniqueness_condition(coefficients),
     )
 
 

@@ -54,7 +54,6 @@ class SolverOptions:
     max_iterations: int = 10_000
     convergence_tol: float = 1e-12
     damping: float = 0.5
-    grid_resolution: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -63,8 +62,6 @@ class SolverOptions:
             raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping!r}")
-        if not self.grid_resolution > 0:
-            raise ValueError(f"grid_resolution must be > 0, got {self.grid_resolution!r}")
 
 
 @dataclass(frozen=True)

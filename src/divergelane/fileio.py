@@ -3,8 +3,9 @@
 Coefficient files are ``key = value`` lines (``#`` comments and blank lines
 allowed) for the eight coefficients, plus an optional ``symmetry = true``
 flag that fills in or checks the mirrored entries.  Datasets are plain CSV
-with the fixed header ``k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph``.  Floats
-are serialized with ``repr`` so parse(serialize(x)) == x exactly.
+with the fixed header ``k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph``.  Values
+are serialized as ``repr(float(x))`` (numpy scalars included) so
+parse(serialize(x)) == x exactly.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def load_coefficients(path: str | Path) -> CostCoefficients:
 
 
 def format_coefficients(c: CostCoefficients, symmetry: bool = False) -> str:
-    lines = [f"{key} = {getattr(c, key)!r}" for key in COEFFICIENT_KEYS]
+    lines = [f"{key} = {float(getattr(c, key))!r}" for key in COEFFICIENT_KEYS]
     if symmetry:
         lines.append("symmetry = true")
     return "\n".join(lines) + "\n"
@@ -133,10 +134,11 @@ def load_dataset(path: str | Path) -> list[DataPoint]:
 def format_dataset(points: Sequence[DataPoint]) -> str:
     lines = [DATASET_HEADER]
     for k, p in enumerate(points, start=1):
-        lines.append(
-            f"{k},{p.demand.q1!r},{p.demand.q2!r},{p.flow.xf1!r},{p.flow.xb1!r},"
-            f"{p.flow.xf2!r},{p.flow.xb2!r},{p.total_demand_vph!r}"
+        values = (
+            p.demand.q1, p.demand.q2, p.flow.xf1, p.flow.xb1,
+            p.flow.xf2, p.flow.xb2, p.total_demand_vph,
         )
+        lines.append(",".join([str(k), *(repr(float(v)) for v in values)]))
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: Absolute tolerance for internal feasibility and equality checks.
@@ -47,8 +48,10 @@ class DemandConfig:
     q2: float
 
     def __post_init__(self) -> None:
-        if self.q1 < 0 or self.q2 < 0:
-            raise ValueError(f"demand shares must be non-negative, got ({self.q1}, {self.q2})")
+        if not (0 <= self.q1 < math.inf and 0 <= self.q2 < math.inf):
+            raise ValueError(
+                f"demand shares must be finite and non-negative, got ({self.q1}, {self.q2})"
+            )
         if abs(self.q1 + self.q2 - 1.0) > ABS_TOL:
             raise ValueError(f"demand shares must sum to 1, got {self.q1 + self.q2!r}")
 
@@ -81,8 +84,8 @@ class CostCoefficients:
     def __post_init__(self) -> None:
         for name in ("cf1", "cf2", "cb", "nu"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
         for name in ("lambda1", "lambda2", "mu1", "mu2"):
             value = getattr(self, name)
             if not FACTOR_FLOOR <= value <= 1.0:
@@ -127,8 +130,8 @@ class FlowDistribution:
     def __post_init__(self) -> None:
         for name in ("xf1", "xb1", "xf2", "xb2"):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
     @classmethod
     def from_bifurcating_shares(

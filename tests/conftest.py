@@ -26,6 +26,18 @@ CAL_VAL = CostCoefficients(
 PROTOCOL_TOTAL_VPH = 3000.0
 PROTOCOL_SWEEP_VPH = tuple(float(d) for d in range(1150, 1851, 50))
 
+#: Five noisy points: equilibria of CAL_VAL at exit-1 demands 1150:1850:150
+#: vph plus Gaussian share noise of sd 0.01, snapped to multiples of 1/5000.
+#: No fit satisfies every condition at a margin of 1e-3; every condition can
+#: hold at 1e-2.
+NOISY_FIVE_CSV = """k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph
+1,0.3834,0.6166,0.295,0.0884,0.3164,0.3002,3000.0
+2,0.4334,0.5666,0.3132,0.1202,0.3266,0.24,3000.0
+3,0.4834,0.5166,0.3124,0.171,0.3068,0.2098,3000.0
+4,0.5334,0.4666,0.3086,0.2248,0.3154,0.1512,3000.0
+5,0.5834,0.4166,0.3262,0.2572,0.2984,0.1182,3000.0
+"""
+
 
 @pytest.fixture
 def cal_val() -> CostCoefficients:

@@ -5,6 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from divergelane import (
     CalibrationOptions,
@@ -23,21 +26,26 @@ from divergelane import (
     check_uniqueness_condition,
     count_violations,
     feed_through_cost,
+    parse_dataset,
     solve_fixed_point,
 )
 from divergelane.calibration import (
+    DEFAULT_LOWER_BOUNDS,
+    DEFAULT_UPPER_BOUNDS,
     _condition_matrix,
     _data_arrays,
-    _feasible_point,
     _variable_space,
     linearized_values,
 )
 
 from conftest import (
     CAL_VAL,
+    NOISY_FIVE_CSV,
     noiseless_protocol_dataset,
     random_coefficients,
 )
+
+NOISY_FIVE = parse_dataset(NOISY_FIVE_CSV)
 
 
 def equilibrium_point(c, q1, total_vph=3000.0):
@@ -49,26 +57,48 @@ def equilibrium_point(c, q1, total_vph=3000.0):
 
 def enumerate_min_violations(data, opts):
     """Oracle: try every indicator assignment (in increasing violation
-    order) and return the first count whose satisfied set is feasible."""
+    order) and return the first count whose satisfied conditions can all
+    hold at the counting margin (product <= epsilon) somewhere in the box."""
     space = _variable_space(opts)
     matrix = _condition_matrix(_data_arrays(data), space)
     n = matrix.shape[0]
     for count in range(n + 1):
         for violated in itertools.combinations(range(n), count):
             satisfied = [i for i in range(n) if i not in violated]
-            if _feasible_point(matrix[satisfied], space) is not None:
+            result = linprog(
+                np.zeros(len(space.names)),
+                A_ub=np.vstack((matrix[satisfied], space.coupling_matrix)),
+                b_ub=np.concatenate(
+                    (np.full(len(satisfied), opts.epsilon), np.zeros(len(space.coupling_matrix)))
+                ),
+                bounds=list(space.box),
+                method="highs",
+                options={"primal_feasibility_tolerance": 1e-9},
+            )
+            if result.status == 0:
                 return count
     return n
 
 
+def noisy_point(rng, truth, sd):
+    """An equilibrium of ``truth`` at a random demand with Gaussian noise of
+    standard deviation ``sd`` on both bifurcating shares."""
+    point = equilibrium_point(truth, float(rng.uniform(0.2, 0.8)))
+    q1, q2 = point.demand.q1, point.demand.q2
+    xb1 = float(np.clip(point.flow.xb1 + rng.normal(0.0, sd), 0.0, q1))
+    xb2 = float(np.clip(point.flow.xb2 + rng.normal(0.0, sd), 0.0, q2))
+    flow = FlowDistribution.from_bifurcating_shares(point.demand, xb1, xb2)
+    return DataPoint(demand=point.demand, flow=flow)
+
+
 class TestCalibrationOptions:
     def test_validation(self):
-        with pytest.raises(ValueError, match="big_m"):
-            CalibrationOptions(big_m=0.0)
         with pytest.raises(ValueError, match="epsilon"):
             CalibrationOptions(epsilon=0.0)
         with pytest.raises(ValueError, match="epsilon"):
-            CalibrationOptions(big_m=1.0, epsilon=2.0)
+            CalibrationOptions(epsilon=float("inf"))
+        with pytest.raises(ValueError, match="epsilon"):
+            CalibrationOptions(epsilon=float("nan"))
         with pytest.raises(ValueError, match="solver"):
             CalibrationOptions(solver="milp")
         with pytest.raises(ValueError, match="restarts"):
@@ -134,67 +164,95 @@ class TestCountViolations:
         assert report.count == int(np.array(report.flags).sum())
 
 
+def box_coefficients(rng):
+    """Coefficients drawn uniformly from the default calibration box."""
+    return CostCoefficients(
+        *(
+            rng.uniform(DEFAULT_LOWER_BOUNDS[name], DEFAULT_UPPER_BOUNDS[name])
+            for name in ("cf1", "cf2", "cb", "lambda1", "lambda2", "mu1", "mu2", "nu")
+        )
+    )
+
+
 class TestBuildMilp:
     def test_row_and_variable_counts(self):
+        # 8 linearized coefficients, 12 binaries and the margin; 12
+        # condition rows and 8 factor-coupling rows.
         data = [equilibrium_point(CAL_VAL, q) for q in (0.4, 0.5, 0.6)]
-        system = build_milp(data, CalibrationOptions())
-        assert len(system.binaries) == 12
-        assert len(system.rows) == 24
-        assert len(system.continuous) == 8
-        assert system.objective == system.binaries
+        c, integrality, bounds, constraints = build_milp(data, CalibrationOptions())
+        assert c.shape == integrality.shape == bounds.lb.shape == bounds.ub.shape == (21,)
+        assert constraints.A.shape == (20, 21)
+        assert integrality.tolist() == [0] * 8 + [1] * 12 + [0]
+        assert c.tolist() == [0] * 8 + [1] * 12 + [-0.5]
+        assert bounds.lb[8:].tolist() == [0] * 13
+        assert bounds.ub[8:].tolist() == [1] * 13
 
     def test_symmetry_reduces_continuous_variables(self):
         data = [equilibrium_point(CAL_VAL, 0.5)]
-        system = build_milp(data, CalibrationOptions(symmetry=True))
-        assert len(system.continuous) == 4
-        assert len(system.binaries) == 4
-        assert len(system.rows) == 8
+        c, integrality, _, constraints = build_milp(data, CalibrationOptions(symmetry=True))
+        assert c.shape == (4 + 4 + 1,)
+        assert int(integrality.sum()) == 4
+        assert constraints.A.shape == (4 + 4, 9)
 
     def test_rows_reproduce_products(self):
-        # Instantiating a row at fixed coefficients and indicator value
-        # reproduces the product expression that count_violations evaluates.
+        # The coefficient part of each condition row, evaluated at fixed
+        # coefficients, reproduces the product count_violations evaluates.
         data = [equilibrium_point(CAL_VAL, 0.45), equilibrium_point(CAL_VAL, 0.55)]
         opts = CalibrationOptions(symmetry=True)
-        system = build_milp(data, opts)
+        _, _, _, constraints = build_milp(data, opts)
         probe = CostCoefficients(2.0, 2.0, 2.0, 0.8, 0.8, 0.3, 0.3, 1.5)
-        values = linearized_values(probe, symmetry=True)
+        z = np.array(list(linearized_values(probe, symmetry=True).values()))
         report = count_violations(probe, data, opts.epsilon)
-        for k in range(len(data)):
-            for j in range(4):
-                row_on = system.rows[8 * k + 2 * j]
-                product = sum(
-                    coeff * values[name]
-                    for name, coeff in row_on.coeffs.items()
-                    if name in values
-                )
-                assert product == pytest.approx(float(report.products[k, j]), abs=1e-12)
+        products = constraints.A[: 4 * len(data), : z.size] @ z
+        np.testing.assert_allclose(products, report.products.ravel(), rtol=0, atol=1e-12)
+
+    def test_condition_matrix_matches_row_loop(self):
+        # Reference: condition rows built one point at a time from the two
+        # cost gaps; the vectorized matrix must match it exactly.
+        rng = np.random.default_rng(59)
+        truth = random_coefficients(rng)
+        data = [noisy_point(rng, truth, 0.02) for _ in range(4)]
+        for symmetry in (False, True):
+            space = _variable_space(CalibrationOptions(symmetry=symmetry))
+            col = space.names.index
+            expected = []
+            for p in data:
+                xf1, xb1, xf2, xb2 = p.flow.xf1, p.flow.xb1, p.flow.xf2, p.flow.xb2
+                gap1 = np.zeros(len(space.names))
+                gap2 = np.zeros(len(space.names))
+                if symmetry:
+                    gap1[[col("cf"), col("cb_lambda"), col("cb_mu")]] = (xf1, -xb1, -xb2)
+                    gap2[[col("cf"), col("cb_lambda"), col("cb_mu")]] = (xf2, -xb2, -xb1)
+                else:
+                    gap1[[col("cf1"), col("cb_lambda1"), col("cb_mu1")]] = (xf1, -xb1, -xb2)
+                    gap2[[col("cf2"), col("cb_lambda2"), col("cb_mu2")]] = (xf2, -xb2, -xb1)
+                gap1[col("nu")] = gap2[col("nu")] = -(xb1 * xb2)
+                expected += [xf1 * gap1, -xb1 * gap1, xf2 * gap2, -xb2 * gap2]
+            actual = _condition_matrix(_data_arrays(data), space)
+            assert np.array_equal(actual, np.array(expected))
 
     def test_encoding_soundness(self):
-        # Fixing the binaries to the violation flags satisfies every big-M
-        # row whenever no product sits inside the epsilon margin.
+        # Setting the binaries to the violation flags, with the margin at 0,
+        # satisfies every row and bound for any coefficients in the box.
         rng = np.random.default_rng(61)
-        opts = CalibrationOptions(big_m=1e3, epsilon=1e-6)
-        checked = 0
-        while checked < 50:
-            truth = random_coefficients(rng)
-            q1 = float(rng.uniform(0.2, 0.8))
-            try:
-                data = [equilibrium_point(truth, q1), equilibrium_point(truth, 1.0 - q1)]
-            except AssertionError:
-                continue
-            probe = random_coefficients(rng)
-            report = count_violations(probe, data, opts.epsilon)
-            if np.abs(report.products).min() <= opts.epsilon:
-                continue
-            system = build_milp(data, opts)
-            values = dict(linearized_values(probe, symmetry=False))
-            for k, flags in enumerate(report.flags):
-                for j, cond in enumerate(("f1", "b1", "f2", "b2")):
-                    values[f"e_{cond}[{k + 1}]"] = float(flags[j])
-            for row in system.rows:
-                lhs = sum(coeff * values[name] for name, coeff in row.coeffs.items())
-                assert lhs <= row.rhs + 1e-9, row.label
-            checked += 1
+        for symmetry in (False, True):
+            opts = CalibrationOptions(epsilon=1e-6, symmetry=symmetry)
+            for _ in range(25):
+                truth = random_coefficients(rng)
+                q1 = float(rng.uniform(0.2, 0.8))
+                data = [equilibrium_point(truth, q1), noisy_point(rng, truth, 0.02)]
+                probe = box_coefficients(rng)
+                if symmetry:
+                    probe = CostCoefficients(
+                        probe.cf1, probe.cf1, probe.cf1, probe.lambda1, probe.lambda1,
+                        probe.mu1, probe.mu1, probe.nu,
+                    )
+                report = count_violations(probe, data, opts.epsilon)
+                _, _, bounds, constraints = build_milp(data, opts)
+                z = list(linearized_values(probe, symmetry).values())
+                x = np.array(z + [float(f) for f in np.ravel(report.flags)] + [0.0])
+                assert np.all(bounds.lb <= x) and np.all(x <= bounds.ub)
+                assert np.all(constraints.A @ x <= constraints.ub + 1e-9)
 
 
 class TestCalibrateExact:
@@ -254,6 +312,39 @@ class TestCalibrateExact:
             opts = CalibrationOptions()
             result = calibrate_exact(data, opts)
             assert result.violations == enumerate_min_violations(data, opts)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(1, 2),
+        symmetry=st.booleans(),
+        epsilon=st.sampled_from((1e-3, 1e-2)),
+    )
+    def test_noisy_instances_match_oracle(self, seed, K, symmetry, epsilon):
+        # On noisy data the optimum is usually nonzero; the MILP must find
+        # the oracle's count, and its recount must meet the proven bound.
+        rng = np.random.default_rng(seed)
+        truth = random_coefficients(rng)
+        try:
+            data = [noisy_point(rng, truth, 0.03) for _ in range(K)]
+        except AssertionError:  # solver did not converge for this truth
+            return
+        opts = CalibrationOptions(epsilon=epsilon, symmetry=symmetry)
+        result = calibrate_exact(data, opts)
+        assert result.certificate == "exact"
+        assert result.violations == enumerate_min_violations(data, opts)
+        assert result.violations == count_violations(result.coefficients, data, epsilon).count
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_zero_count_found_on_noisy_data(self, symmetry):
+        # Every condition of NOISY_FIVE can hold at 1e-2 (the search finds
+        # such a fit); an exact count above 0 would be a false certificate.
+        opts = CalibrationOptions(epsilon=1e-2, symmetry=symmetry)
+        assert calibrate_search(NOISY_FIVE, opts).violations == 0
+        result = calibrate_exact(NOISY_FIVE, opts)
+        assert result.violations == 0
+        assert result.certificate == "exact"
+        assert count_violations(result.coefficients, NOISY_FIVE, 1e-2).count == 0
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

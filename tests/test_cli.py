@@ -1,6 +1,14 @@
 """Command-line surface: outputs, file effects, exit codes."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import divergelane
 
 from divergelane import (
     DemandConfig,
@@ -12,7 +20,7 @@ from divergelane import (
 )
 from divergelane.cli import main
 
-from conftest import CAL_VAL
+from conftest import CAL_VAL, NOISY_FIVE_CSV
 
 
 @pytest.fixture
@@ -243,6 +251,65 @@ class TestCalibrate:
         assert code == 0
         assert "uniqueness_link1 = true" in out
         assert "uniqueness_link2 = true" in out
+
+    def test_exact_stdout_holds_only_the_report(self, tmp_path):
+        # Asymmetric exact calibration of these points at 1e-3 makes HiGHS
+        # print diagnostics from C++ straight to file descriptor 1.  Run in
+        # a child with stdout on a pipe (C stdio fully buffered there) and
+        # check every line it wrote.
+        path = tmp_path / "noisy.csv"
+        path.write_text(NOISY_FIVE_CSV)
+        src = str(Path(divergelane.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        child = subprocess.run(
+            [sys.executable, "-m", "divergelane.cli", "calibrate", "--data", str(path),
+             "--solver", "exact", "--tol", "1e-3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=False,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        lines = child.stdout.decode().splitlines()
+        allowed = re.compile(r"[a-z0-9_]+ = \S+|flags:|k,ef1,eb1,ef2,eb2|\d+,[01],[01],[01],[01]")
+        assert [line for line in lines if not allowed.fullmatch(line)] == []
+        assert lines[8:10] == ["certificate = exact", "violations = 4"]
+
+
+class TestNonFiniteInput:
+    """Non-finite numbers are bad input (exit 1), never a NaN result."""
+
+    @pytest.mark.parametrize("command", [["solve", "--q1", "0.5"], ["check"]])
+    def test_infinite_rate_exits_1(self, capsys, tmp_path, command):
+        path = tmp_path / "inf.coeffs"
+        path.write_text("cf1 = inf\nlambda1 = 0.87\nmu1 = 0.69\nnu = 1.0\nsymmetry = true\n")
+        code, out, err = run(capsys, [command[0], "--coeffs", path, *command[1:]])
+        assert code == 1
+        assert out == ""
+        assert "cf1" in err
+
+    def test_nan_demand_exits_1(self, capsys, coeffs_file):
+        code, out, err = run(capsys, ["solve", "--coeffs", coeffs_file, "--q1", "nan"])
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify", "--coeffs", None],
+            ["calibrate", "--solver", "heuristic"],
+            ["calibrate", "--solver", "exact"],
+        ],
+        ids=["verify", "calibrate-heuristic", "calibrate-exact"],
+    )
+    def test_nan_share_exits_1(self, capsys, tmp_path, coeffs_file, command):
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph\n1,0.5,0.5,nan,0.2,0.3,0.2,3000.0\n"
+        )
+        argv = [coeffs_file if a is None else a for a in command]
+        code, out, err = run(capsys, [*argv, "--data", path])
+        assert code == 1
+        assert out == ""
+        assert "xf1" in err
 
 
 class TestVerify:

@@ -68,8 +68,6 @@ class TestSolverOptions:
             SolverOptions(convergence_tol=0.0)
         with pytest.raises(ValueError, match="damping"):
             SolverOptions(damping=1.5)
-        with pytest.raises(ValueError, match="grid_resolution"):
-            SolverOptions(grid_resolution=-1.0)
 
     def test_auxiliary_action_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -1,20 +1,23 @@
 """Coefficient-file and dataset-CSV parsing and round trips."""
 
+import numpy as np
 import pytest
 
 from divergelane import (
     CostCoefficients,
     DataPoint,
     DemandConfig,
+    DivergeInstance,
     FlowDistribution,
     ParseError,
     format_coefficients,
     format_dataset,
     parse_coefficients,
     parse_dataset,
+    solve_fixed_point,
 )
 
-from conftest import CAL_VAL
+from conftest import CAL_VAL, random_coefficients
 
 
 GNARLY = CostCoefficients(
@@ -122,3 +125,19 @@ class TestDataset:
 
     def test_header_only_gives_empty_dataset(self):
         assert parse_dataset("k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph\n") == []
+
+    def test_numpy_scalars_round_trip(self):
+        # Coefficients drawn with numpy and the flows solved from them hold
+        # np.float64 values; both files must still parse back exactly.
+        rng = np.random.default_rng(5)
+        c = random_coefficients(rng)
+        assert isinstance(c.cf1, np.float64)
+        assert parse_coefficients(format_coefficients(c)) == c
+        points = []
+        for q1 in (np.float64(0.4), np.float64(0.6)):
+            demand = DemandConfig(q1, 1.0 - q1)
+            flow = solve_fixed_point(DivergeInstance(demand, c)).flow
+            points.append(DataPoint(demand, flow, np.float64(3000.0)))
+        text = format_dataset(points)
+        assert "np." not in text
+        assert parse_dataset(text) == points
