@@ -76,6 +76,10 @@ class DataPoint:
 
     def __post_init__(self) -> None:
         check_feasible(self.demand, self.flow)
+        if not 0 <= self.total_demand_vph < math.inf:
+            raise ValueError(
+                f"total_demand_vph must be finite and >= 0, got {self.total_demand_vph!r}"
+            )
 
 
 @dataclass(frozen=True)

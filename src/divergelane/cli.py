@@ -174,14 +174,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     data = load_dataset(args.data)
     if not data:
         raise ValueError(f"dataset {args.data!r} contains no rows")
-    print("k,max_residual,pass")
+    rows = ["k,max_residual,pass"]
     all_pass = True
     for k, point in enumerate(data, start=1):
         instance = DivergeInstance(point.demand, coeffs)
         residuals = wardrop_residuals(instance, point.flow)
         ok = is_wardrop_equilibrium(instance, point.flow, args.tol)
         all_pass = all_pass and ok
-        print(f"{k},{residuals.max_residual!r},{_bool_text(ok)}")
+        rows.append(f"{k},{residuals.max_residual!r},{_bool_text(ok)}")
+    print("\n".join(rows))
     return EXIT_OK if all_pass else EXIT_CONDITION_FAILED
 
 

@@ -14,10 +14,18 @@ module is meant to digest.
 All randomness comes from one seeded generator per run: a permutation of
 the drivers followed by a flat block of perception noise per round, so runs
 are reproducible bit for bit.
+
+Each driver moves at most once per round, so the round's visiting order
+fixes every driver's link, round-start lane and scaled perception noise up
+front; those are built as numpy arrays per round.  The four lane costs are
+a pure function of the two integer bifurcating counts and are memoized per
+visited count pair, so the remaining scalar scan does two additions and
+one comparison per driver and one table lookup per switch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,8 +60,10 @@ class SimulationConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma!r}")
-        if not self.total_demand_vph > 0:
-            raise ValueError(f"total_demand_vph must be > 0, got {self.total_demand_vph!r}")
+        if not 0 < self.total_demand_vph < math.inf:
+            raise ValueError(
+                f"total_demand_vph must be finite and > 0, got {self.total_demand_vph!r}"
+            )
         for d in self.demand_sweep:
             if not 0.0 < d < self.total_demand_vph:
                 raise ValueError(
@@ -75,81 +85,80 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
     n2 = int(round(n * g_true.demand.q2))
     n1 = n - n2
     rng = np.random.default_rng(cfg.seed)
-
-    links = [1] * n1 + [2] * n2
-    lanes = [0] * n  # 0 = feed-through, 1 = bifurcating
-    counts_f = [0, n1, n2]  # index by link, entry 0 unused
-    counts_b = [0, 0, 0]
     inv_n = 1.0 / n
+    cf1, cf2, cb, nu = c.cf1, c.cf2, c.cb, c.nu
+    lam1, lam2, mu1, mu2 = c.lambda1, c.lambda2, c.mu1, c.mu2
 
-    amplitude = [
-        0.0,
-        cfg.sigma * NOISE_COST_FRACTION * (c.cf1 + c.cb),
-        cfg.sigma * NOISE_COST_FRACTION * (c.cf2 + c.cb),
-    ]
-    noisy = cfg.sigma > 0.0
+    # The state is the pair of bifurcating counts, encoded as one integer
+    # key = b1 * stride + b2.  A driver's "kind" is 2 * (link - 1) + lane
+    # (lane 0 = feed-through, 1 = bifurcating): it indexes the state's cost
+    # tuple, ``kind ^ 1`` is the other lane of the same link, and
+    # ``key_step[kind]`` moves the key when that driver switches.
+    stride = n2 + 1
+    key_step = (stride, -stride, 1, -1)
+    memo: dict[int, tuple[float, float, float, float]] = {}
 
-    cf = [0.0, c.cf1, c.cf2]
-    lam = [0.0, c.lambda1, c.lambda2]
-    mu = [0.0, c.mu1, c.mu2]
-    cb, nu = c.cb, c.nu
-
-    # Lane costs at the current aggregate shares; recomputed only when a
-    # driver actually switches.
-    feed_cost = [0.0, 0.0, 0.0]
-    bif_cost = [0.0, 0.0, 0.0]
-
-    def recompute() -> None:
-        xb1 = counts_b[1] * inv_n
-        xb2 = counts_b[2] * inv_n
-        feed_cost[1] = cf[1] * counts_f[1] * inv_n
-        feed_cost[2] = cf[2] * counts_f[2] * inv_n
+    # Lane costs at a state, from the integer counts and computed once per
+    # visited state: (feed 1, bifurcating 1, feed 2, bifurcating 2).
+    def lane_costs(key: int) -> tuple[float, float, float, float]:
+        b1, b2 = divmod(key, stride)
+        xb1 = b1 * inv_n
+        xb2 = b2 * inv_n
         heterogeneity = nu * xb1 * xb2
-        bif_cost[1] = cb * (lam[1] * xb1 + mu[1] * xb2) + heterogeneity
-        bif_cost[2] = cb * (lam[2] * xb2 + mu[2] * xb1) + heterogeneity
+        costs = (
+            cf1 * (n1 - b1) * inv_n,
+            cb * (lam1 * xb1 + mu1 * xb2) + heterogeneity,
+            cf2 * (n2 - b2) * inv_n,
+            cb * (lam2 * xb2 + mu2 * xb1) + heterogeneity,
+        )
+        memo[key] = costs
+        return costs
 
-    recompute()
+    link_of = np.array([0] * n1 + [1] * n2, dtype=np.intp)  # link - 1
+    amplitude = np.array([
+        cfg.sigma * NOISE_COST_FRACTION * (cf1 + cb),
+        cfg.sigma * NOISE_COST_FRACTION * (cf2 + cb),
+    ])
+    lanes = bytearray(n)
+    lanes_view = np.frombuffer(lanes, dtype=np.uint8)
+    noisy = cfg.sigma > 0.0
+    no_noise = [0.0] * n
+
+    key = 0
+    costs = lane_costs(key)
     for _ in range(cfg.rounds):
-        order = rng.permutation(n).tolist()
+        order = rng.permutation(n)
+        # Each driver moves at most once per round, so its lane at its turn
+        # is its round-start lane.
+        link_seq = link_of[order]
+        lane_seq = lanes_view[order]
+        kind_seq = 2 * link_seq + lane_seq
         if noisy:
             draws = rng.uniform(-1.0, 1.0, size=2 * n)
-            noise_f = draws[:n].tolist()
-            noise_b = draws[n:].tolist()
+            amp = amplitude[link_seq]
+            noise_f = amp * draws[:n]
+            noise_b = amp * draws[n:]
+            noise_own = np.where(lane_seq, noise_b, noise_f).tolist()
+            noise_other = np.where(lane_seq, noise_f, noise_b).tolist()
+        else:
+            # Adding 0.0 leaves every (finite) cost and comparison unchanged.
+            noise_own = noise_other = no_noise
         switched = 0
-        for position, driver in enumerate(order):
-            link = links[driver]
-            perceived_f = feed_cost[link]
-            perceived_b = bif_cost[link]
-            if noisy:
-                a = amplitude[link]
-                perceived_f += a * noise_f[position]
-                perceived_b += a * noise_b[position]
-            if perceived_b < perceived_f:
-                target = 1
-            elif perceived_f < perceived_b:
-                target = 0
-            else:
-                target = lanes[driver]
-            if target != lanes[driver]:
-                lanes[driver] = target
-                if target == 1:
-                    counts_f[link] -= 1
-                    counts_b[link] += 1
-                else:
-                    counts_f[link] += 1
-                    counts_b[link] -= 1
+        for driver, kind, own, other in zip(
+            order.tolist(), kind_seq.tolist(), noise_own, noise_other
+        ):
+            # Switch only if the other lane is strictly cheaper; ties stay.
+            if costs[kind ^ 1] + other < costs[kind] + own:
+                lanes[driver] ^= 1
+                key += key_step[kind]
+                costs = memo.get(key) or lane_costs(key)
                 switched += 1
-                recompute()
         if switched == 0:
             break
 
+    b1, b2 = divmod(key, stride)
     demand = DemandConfig(n1 * inv_n, n2 * inv_n)
-    flow = FlowDistribution(
-        counts_f[1] * inv_n,
-        counts_b[1] * inv_n,
-        counts_f[2] * inv_n,
-        counts_b[2] * inv_n,
-    )
+    flow = FlowDistribution((n1 - b1) * inv_n, b1 * inv_n, (n2 - b2) * inv_n, b2 * inv_n)
     return DataPoint(demand=demand, flow=flow, total_demand_vph=cfg.total_demand_vph)
 
 

@@ -12,6 +12,7 @@ independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,10 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.convergence_tol > 0:
-            raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol!r}")
+        if not 0 < self.convergence_tol < math.inf:
+            raise ValueError(
+                f"convergence_tol must be finite and > 0, got {self.convergence_tol!r}"
+            )
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping!r}")
 

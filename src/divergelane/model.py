@@ -252,8 +252,8 @@ def is_wardrop_equilibrium(
     g: DivergeInstance, x: FlowDistribution, tol: float = EQUILIBRIUM_TOL
 ) -> bool:
     """True iff ``x`` is feasible within ``tol`` and all residuals are <= ``tol``."""
-    if tol < 0:
-        raise ValueError(f"tol must be non-negative, got {tol!r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     try:
         check_feasible(g.demand, x, tol=max(tol, ABS_TOL))
     except FeasibilityError:

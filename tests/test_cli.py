@@ -311,6 +311,58 @@ class TestNonFiniteInput:
         assert out == ""
         assert "xf1" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_solver_tol_exits_1(self, capsys, coeffs_file, tol):
+        code, out, err = run(
+            capsys, ["solve", "--coeffs", coeffs_file, "--q1", "0.5", "--tol", tol]
+        )
+        assert code == 1
+        assert out == ""
+        assert "convergence_tol" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_verify_tol_exits_1(self, capsys, tmp_path, coeffs_file, tol):
+        path = tmp_path / "noisy.csv"
+        path.write_text(NOISY_FIVE_CSV)
+        code, out, err = run(
+            capsys, ["verify", "--coeffs", coeffs_file, "--data", path, "--tol", tol]
+        )
+        assert code == 1
+        assert out == ""
+        assert "tol" in err
+
+    @pytest.mark.parametrize("total", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["generate", "--sweep", "1150:1850:350", "--n", "50"],
+            ["sweep", "--range", "0.4:0.6", "--step", "0.1"],
+        ],
+        ids=["generate", "sweep"],
+    )
+    def test_non_finite_total_demand_exits_1(self, capsys, tmp_path, coeffs_file, command, total):
+        out_path = tmp_path / "data.csv"
+        code, out, err = run(
+            capsys,
+            [command[0], "--coeffs", coeffs_file, *command[1:], "--D", total,
+             "--out", out_path],
+        )
+        assert code == 1
+        assert out == ""
+        assert "total_demand_vph" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("total", ["inf", "nan", "-3000.0"])
+    def test_bad_total_demand_row_exits_1(self, capsys, tmp_path, coeffs_file, total):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph\n1,0.5,0.5,0.3,0.2,0.3,0.2,{total}\n"
+        )
+        code, out, err = run(capsys, ["verify", "--coeffs", coeffs_file, "--data", path])
+        assert code == 1
+        assert out == ""
+        assert "total_demand_vph" in err
+
 
 class TestVerify:
     def test_model_sweep_verifies(self, capsys, tmp_path, coeffs_file):

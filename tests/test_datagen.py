@@ -1,18 +1,29 @@
 """Discrete-driver steady-state simulator."""
 
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divergelane import (
+    CostCoefficients,
+    DataPoint,
     DemandConfig,
     DivergeInstance,
+    FlowDistribution,
     SimulationConfig,
     count_violations,
     generate_dataset,
     simulate_steady_state,
     solve_fixed_point,
+    write_coefficients,
 )
+from divergelane.cli import main
+from divergelane.datagen import NOISE_COST_FRACTION
 
-from conftest import CAL_VAL
+from conftest import CAL_VAL, random_coefficients
 
 
 def instance(q1):
@@ -82,6 +93,11 @@ class TestSimulateSteadyState:
         with pytest.raises(ValueError, match="sweep demand"):
             SimulationConfig(demand_sweep=(3200.0,))
 
+    @pytest.mark.parametrize("total", [float("inf"), float("nan"), 0.0, -3000.0])
+    def test_total_demand_must_be_finite_and_positive(self, total):
+        with pytest.raises(ValueError, match="total_demand_vph"):
+            SimulationConfig(total_demand_vph=total, demand_sweep=(1500.0,))
+
 
 class TestGenerateDataset:
     def test_protocol_sweep_shape(self):
@@ -115,3 +131,140 @@ class TestGenerateDataset:
     def test_zero_noise_sweep_is_monotone(self, zero_noise_data):
         shares = [p.flow.xb1 for p in zero_noise_data]
         assert all(b >= a - 1e-12 for a, b in zip(shares, shares[1:]))
+
+
+def reference_simulate(g_true, cfg):
+    """The scalar driver loop the simulator used before it moved to per-round
+    arrays and memoized lane costs, kept verbatim as the reference."""
+    c = g_true.costs
+    n = cfg.n_vehicles
+    n2 = int(round(n * g_true.demand.q2))
+    n1 = n - n2
+    rng = np.random.default_rng(cfg.seed)
+
+    links = [1] * n1 + [2] * n2
+    lanes = [0] * n  # 0 = feed-through, 1 = bifurcating
+    counts_f = [0, n1, n2]  # index by link, entry 0 unused
+    counts_b = [0, 0, 0]
+    inv_n = 1.0 / n
+
+    amplitude = [
+        0.0,
+        cfg.sigma * NOISE_COST_FRACTION * (c.cf1 + c.cb),
+        cfg.sigma * NOISE_COST_FRACTION * (c.cf2 + c.cb),
+    ]
+    noisy = cfg.sigma > 0.0
+
+    cf = [0.0, c.cf1, c.cf2]
+    lam = [0.0, c.lambda1, c.lambda2]
+    mu = [0.0, c.mu1, c.mu2]
+    cb, nu = c.cb, c.nu
+
+    # Lane costs at the current aggregate shares; recomputed only when a
+    # driver actually switches.
+    feed_cost = [0.0, 0.0, 0.0]
+    bif_cost = [0.0, 0.0, 0.0]
+
+    def recompute() -> None:
+        xb1 = counts_b[1] * inv_n
+        xb2 = counts_b[2] * inv_n
+        feed_cost[1] = cf[1] * counts_f[1] * inv_n
+        feed_cost[2] = cf[2] * counts_f[2] * inv_n
+        heterogeneity = nu * xb1 * xb2
+        bif_cost[1] = cb * (lam[1] * xb1 + mu[1] * xb2) + heterogeneity
+        bif_cost[2] = cb * (lam[2] * xb2 + mu[2] * xb1) + heterogeneity
+
+    recompute()
+    for _ in range(cfg.rounds):
+        order = rng.permutation(n).tolist()
+        if noisy:
+            draws = rng.uniform(-1.0, 1.0, size=2 * n)
+            noise_f = draws[:n].tolist()
+            noise_b = draws[n:].tolist()
+        switched = 0
+        for position, driver in enumerate(order):
+            link = links[driver]
+            perceived_f = feed_cost[link]
+            perceived_b = bif_cost[link]
+            if noisy:
+                a = amplitude[link]
+                perceived_f += a * noise_f[position]
+                perceived_b += a * noise_b[position]
+            if perceived_b < perceived_f:
+                target = 1
+            elif perceived_f < perceived_b:
+                target = 0
+            else:
+                target = lanes[driver]
+            if target != lanes[driver]:
+                lanes[driver] = target
+                if target == 1:
+                    counts_f[link] -= 1
+                    counts_b[link] += 1
+                else:
+                    counts_f[link] += 1
+                    counts_b[link] -= 1
+                switched += 1
+                recompute()
+        if switched == 0:
+            break
+
+    demand = DemandConfig(n1 * inv_n, n2 * inv_n)
+    flow = FlowDistribution(
+        counts_f[1] * inv_n,
+        counts_b[1] * inv_n,
+        counts_f[2] * inv_n,
+        counts_b[2] * inv_n,
+    )
+    return DataPoint(demand=demand, flow=flow, total_demand_vph=cfg.total_demand_vph)
+
+
+class TestMatchesReference:
+    """The simulator's output is bit-identical to the scalar reference loop."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        q1=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        n=st.integers(1, 400),
+        rounds=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        reference_costs=st.booleans(),
+    )
+    def test_equals_reference_loop(self, q1, sigma, n, rounds, seed, reference_costs):
+        costs = CAL_VAL if reference_costs else random_coefficients(np.random.default_rng(seed))
+        g = DivergeInstance(DemandConfig(q1, 1.0 - q1), costs)
+        cfg = SimulationConfig(n_vehicles=n, sigma=sigma, rounds=rounds, seed=seed)
+        assert simulate_steady_state(g, cfg) == reference_simulate(g, cfg)
+
+    @pytest.mark.parametrize("q1", [1.0, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_exact_ties_keep_the_lane(self, q1, n):
+        # Dyadic coefficients make the two lane costs exactly equal once half
+        # of a link's drivers bifurcate; a tie must not move the driver.
+        costs = CostCoefficients(1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 1.0)
+        g = DivergeInstance(DemandConfig(q1, 1.0 - q1), costs)
+        cfg = SimulationConfig(n_vehicles=n, sigma=0.0, rounds=20, seed=n)
+        point = simulate_steady_state(g, cfg)
+        assert point == reference_simulate(g, cfg)
+        if q1 == 1.0:
+            assert point.flow.xb1 == 0.5
+
+    @pytest.mark.parametrize(
+        "sigma, digest",
+        [
+            ("0.5", "a87d8c6bfe5f52c9a0d827355d58078d00286eeb5d4d8686b686d0b7c7c43198"),
+            ("0", "4245343ec1087aa1edc0e5e2004a8ce67b2524b5ac894b7ade720221ada53a9f"),
+        ],
+    )
+    def test_generate_bytes_are_pinned(self, tmp_path, sigma, digest):
+        # Digests of ``generate`` output captured from the reference loop.
+        coeffs = tmp_path / "diverge.coeffs"
+        write_coefficients(coeffs, CAL_VAL, symmetry=True)
+        out = tmp_path / "data.csv"
+        code = main(
+            ["generate", "--coeffs", str(coeffs), "--n", "200", "--sweep", "1150:1850:350",
+             "--seed", "1", "--sigma", sigma, "--out", str(out)]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
