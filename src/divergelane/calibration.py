@@ -41,6 +41,7 @@ from .model import (
     FlowDistribution,
     check_feasible,
     check_uniqueness_condition,
+    residual_products,
     uniqueness_margins,
 )
 
@@ -165,12 +166,15 @@ def _data_arrays(data: Sequence[DataPoint]) -> _Arrays:
 
 def _products(c: CostCoefficients, a: _Arrays) -> np.ndarray:
     """Condition products, one row per point in the order (f1, b1, f2, b2)."""
-    cross = c.nu * a.xb1 * a.xb2
-    gap1 = c.cf1 * a.xf1 - (c.cb * (c.lambda1 * a.xb1 + c.mu1 * a.xb2) + cross)
-    gap2 = c.cf2 * a.xf2 - (c.cb * (c.lambda2 * a.xb2 + c.mu2 * a.xb1) + cross)
-    return np.column_stack(
-        (a.xf1 * gap1, a.xb1 * -gap1, a.xf2 * gap2, a.xb2 * -gap2)
-    )
+    return np.column_stack(residual_products(c, a.xf1, a.xb1, a.xf2, a.xb2))
+
+
+def _violated(products: np.ndarray, epsilon: float) -> tuple[np.ndarray, int, float]:
+    """Flags of the violated conditions (product above ``epsilon``), their
+    count, and the sum of their products."""
+    flags = products > epsilon
+    count = int(flags.sum())
+    return flags, count, float(products[flags].sum()) if count else 0.0
 
 
 def count_violations(
@@ -191,12 +195,10 @@ def count_violations(
         except FeasibilityError as exc:
             raise FeasibilityError(f"data point k={k}: {exc}") from exc
     products = _products(c, _data_arrays(data))
-    flag_matrix = products > epsilon
-    flags = tuple(tuple(bool(v) for v in row) for row in flag_matrix)
-    positive_sum = float(products[flag_matrix].sum()) if flag_matrix.any() else 0.0
+    flag_matrix, count, positive_sum = _violated(products, epsilon)
     return ViolationCount(
-        count=int(flag_matrix.sum()),
-        flags=flags,
+        count=count,
+        flags=tuple(tuple(bool(v) for v in row) for row in flag_matrix),
         products=products,
         positive_sum=positive_sum,
     )
@@ -322,10 +324,10 @@ def linearized_values(c: CostCoefficients, symmetry: bool) -> dict[str, float]:
     }
 
 
-def _condition_matrix(arrays: _Arrays, space: _VariableSpace) -> np.ndarray:
-    """Affine condition coefficients: row (4k + j) gives condition j of
-    point k as a dot product with the linearized variables."""
-    a = arrays
+def _gap_rows(a: _Arrays, space: _VariableSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Linearized cost gaps of links 1 and 2: row k of each, dotted with the
+    linearized variables, is that link's feed-through minus bifurcating
+    cost at point k."""
     col = space.names.index
     f1, l1, m1, f2, l2, m2 = (
         ("cf", "cb_lambda", "cb_mu") * 2
@@ -337,6 +339,13 @@ def _condition_matrix(arrays: _Arrays, space: _VariableSpace) -> np.ndarray:
     gap1[:, col(f1)], gap1[:, col(l1)], gap1[:, col(m1)] = a.xf1, -a.xb1, -a.xb2
     gap2[:, col(f2)], gap2[:, col(l2)], gap2[:, col(m2)] = a.xf2, -a.xb2, -a.xb1
     gap1[:, col("nu")] = gap2[:, col("nu")] = -(a.xb1 * a.xb2)
+    return gap1, gap2
+
+
+def _condition_matrix(a: _Arrays, space: _VariableSpace) -> np.ndarray:
+    """Affine condition coefficients: row (4k + j) gives condition j of
+    point k as a dot product with the linearized variables."""
+    gap1, gap2 = _gap_rows(a, space)
     rows = np.stack(
         (
             a.xf1[:, None] * gap1,
@@ -492,20 +501,13 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
 # Heuristic solver: multi-start randomized search with coordinate refinement
 
 
-def _search_space(opts: CalibrationOptions) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    bounds = _resolve_bounds(opts)
-    if opts.symmetry:
-        cf = _merge_bounds(bounds, ("cf1", "cf2", "cb"))
-        lam = _merge_bounds(bounds, ("lambda1", "lambda2"))
-        mu = _merge_bounds(bounds, ("mu1", "mu2"))
-        names = ("cf", "lambda", "mu", "nu")
-        lohi = (cf, lam, mu, bounds["nu"])
-    else:
-        names = COEFFICIENT_NAMES
-        lohi = tuple(bounds[name] for name in names)
-    lo = np.array([b[0] for b in lohi])
-    hi = np.array([b[1] for b in lohi])
-    return names, lo, hi
+def _search_space(space: _VariableSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Box of the search's parameters, the coefficients themselves (tied
+    under symmetry): the rates other than ``nu``, the factors, then ``nu``."""
+    rates = dict(space.rate_bounds)
+    nu = rates.pop("nu")
+    lo, hi = np.array((*rates.values(), *space.factor_bounds.values(), nu)).T
+    return lo, hi
 
 
 def _theta_to_coefficients(theta: np.ndarray, symmetry: bool) -> CostCoefficients:
@@ -526,40 +528,25 @@ def _objective(
     equilibrium predictions are certified unique.
     """
     c = _theta_to_coefficients(theta, symmetry)
-    products = _products(c, arrays)
-    flagged = products > epsilon
-    count = int(flagged.sum())
-    positive = float(products[flagged].sum()) if count else 0.0
+    _, count, positive = _violated(_products(c, arrays), epsilon)
     margins = uniqueness_margins(c)
     deficit = max(0.0, -min(margins))
     return (count, positive, deficit)
 
 
-def _least_squares_start(
-    arrays: _Arrays, space: _VariableSpace
-) -> np.ndarray | None:
+def _least_squares_start(a: _Arrays, space: _VariableSpace) -> np.ndarray | None:
     """Deterministic start: fit the interior cost-equality rows in the
     linearized space and rescale onto the admissible box (the equilibrium
     conditions are scale-invariant, so only the ray direction matters)."""
     tiny = 1e-9
-    rows = []
-    for k in range(arrays.xf1.shape[0]):
-        xf1, xb1 = arrays.xf1[k], arrays.xb1[k]
-        xf2, xb2 = arrays.xf2[k], arrays.xb2[k]
-        cross = xb1 * xb2
-        if xf1 > tiny and xb1 > tiny:
-            if space.symmetry:
-                rows.append((xf1, -xb1, -xb2, -cross))
-            else:
-                rows.append((xf1, 0.0, 0.0, -xb1, 0.0, -xb2, 0.0, -cross))
-        if xf2 > tiny and xb2 > tiny:
-            if space.symmetry:
-                rows.append((xf2, -xb2, -xb1, -cross))
-            else:
-                rows.append((0.0, xf2, 0.0, 0.0, -xb2, 0.0, -xb1, -cross))
-    if not rows:
+    # Point-major rows (link 1, then link 2) of the links whose two classes
+    # are both populated.
+    interior = np.column_stack(
+        ((a.xf1 > tiny) & (a.xb1 > tiny), (a.xf2 > tiny) & (a.xb2 > tiny))
+    )
+    if not interior.any():
         return None
-    matrix = np.array(rows)
+    matrix = np.stack(_gap_rows(a, space), axis=1)[interior]
     if not space.symmetry:
         # cb never appears alone in a gap row (only through the products),
         # so drop its column and anchor it at the mean feed rate afterwards.
@@ -667,7 +654,7 @@ def calibrate_search(
         raise ValueError("data must be non-empty")
     space = _variable_space(opts)
     arrays = _data_arrays(data)
-    names, lo, hi = _search_space(opts)
+    lo, hi = _search_space(space)
     rng = np.random.default_rng(opts.seed)
 
     starts: list[np.ndarray] = []

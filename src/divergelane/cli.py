@@ -42,6 +42,10 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_GUARD = 3
 EXIT_CONDITION_FAILED = 4
 
+#: Most points a ``sweep --range``/``--step`` or ``generate --sweep`` range
+#: may expand to.
+MAX_RANGE_POINTS = 10**6
+
 _EPILOG = """\
 exit codes:
   0  success
@@ -57,12 +61,19 @@ def _bool_text(value: bool) -> str:
 
 
 def _range_values(start: float, stop: float, step: float) -> list[float]:
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"range bounds and step must be finite, got {start!r}:{stop!r}:{step!r}")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step!r}")
     if stop < start:
         raise ValueError(f"range bounds reversed: {start!r} > {stop!r}")
-    count = int(math.floor((stop - start) / step + 1e-9))
-    return [start + i * step for i in range(count + 1)]
+    last = (stop - start) / step + 1e-9
+    if not last < MAX_RANGE_POINTS:
+        raise ValueError(
+            f"range {start!r}:{stop!r} with step {step!r} has more than "
+            f"{MAX_RANGE_POINTS} points"
+        )
+    return [start + i * step for i in range(int(math.floor(last)) + 1)]
 
 
 def _parse_range(text: str) -> tuple[float, float]:

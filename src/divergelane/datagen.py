@@ -17,10 +17,11 @@ are reproducible bit for bit.
 
 Each driver moves at most once per round, so the round's visiting order
 fixes every driver's link, round-start lane and scaled perception noise up
-front; those are built as numpy arrays per round.  The four lane costs are
-a pure function of the two integer bifurcating counts and are memoized per
-visited count pair, so the remaining scalar scan does two additions and
-one comparison per driver and one table lookup per switch.
+front; those are built as numpy arrays per round.  The four lane costs come
+from the model's :func:`~divergelane.model.lane_costs` at the shares of the
+two integer bifurcating counts and are memoized per visited count pair, so
+the remaining scalar scan does two additions and one comparison per driver
+and one table lookup per switch.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import DataPoint
-from .model import CostCoefficients, DemandConfig, DivergeInstance, FlowDistribution
+from .model import (
+    CostCoefficients,
+    DemandConfig,
+    DivergeInstance,
+    FlowDistribution,
+    lane_costs,
+)
 
 #: Perception-noise scale relative to the lane cost rates: the noise is
 #: uniform in +/- sigma * NOISE_COST_FRACTION * (cf_i + cb).
@@ -86,8 +93,6 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
     n1 = n - n2
     rng = np.random.default_rng(cfg.seed)
     inv_n = 1.0 / n
-    cf1, cf2, cb, nu = c.cf1, c.cf2, c.cb, c.nu
-    lam1, lam2, mu1, mu2 = c.lambda1, c.lambda2, c.mu1, c.mu2
 
     # The state is the pair of bifurcating counts, encoded as one integer
     # key = b1 * stride + b2.  A driver's "kind" is 2 * (link - 1) + lane
@@ -98,26 +103,18 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
     key_step = (stride, -stride, 1, -1)
     memo: dict[int, tuple[float, float, float, float]] = {}
 
-    # Lane costs at a state, from the integer counts and computed once per
-    # visited state: (feed 1, bifurcating 1, feed 2, bifurcating 2).
-    def lane_costs(key: int) -> tuple[float, float, float, float]:
+    # The model's lane costs at a state's shares, computed once per visited
+    # state: (feed 1, bifurcating 1, feed 2, bifurcating 2).
+    def costs_at(key: int) -> tuple[float, float, float, float]:
         b1, b2 = divmod(key, stride)
-        xb1 = b1 * inv_n
-        xb2 = b2 * inv_n
-        heterogeneity = nu * xb1 * xb2
-        costs = (
-            cf1 * (n1 - b1) * inv_n,
-            cb * (lam1 * xb1 + mu1 * xb2) + heterogeneity,
-            cf2 * (n2 - b2) * inv_n,
-            cb * (lam2 * xb2 + mu2 * xb1) + heterogeneity,
-        )
+        costs = lane_costs(c, (n1 - b1) * inv_n, b1 * inv_n, (n2 - b2) * inv_n, b2 * inv_n)
         memo[key] = costs
         return costs
 
     link_of = np.array([0] * n1 + [1] * n2, dtype=np.intp)  # link - 1
     amplitude = np.array([
-        cfg.sigma * NOISE_COST_FRACTION * (cf1 + cb),
-        cfg.sigma * NOISE_COST_FRACTION * (cf2 + cb),
+        cfg.sigma * NOISE_COST_FRACTION * (c.cf1 + c.cb),
+        cfg.sigma * NOISE_COST_FRACTION * (c.cf2 + c.cb),
     ])
     lanes = bytearray(n)
     lanes_view = np.frombuffer(lanes, dtype=np.uint8)
@@ -125,7 +122,7 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
     no_noise = [0.0] * n
 
     key = 0
-    costs = lane_costs(key)
+    costs = costs_at(key)
     for _ in range(cfg.rounds):
         order = rng.permutation(n)
         # Each driver moves at most once per round, so its lane at its turn
@@ -151,7 +148,7 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
             if costs[kind ^ 1] + other < costs[kind] + own:
                 lanes[driver] ^= 1
                 key += key_step[kind]
-                costs = memo.get(key) or lane_costs(key)
+                costs = memo.get(key) or costs_at(key)
                 switched += 1
         if switched == 0:
             break

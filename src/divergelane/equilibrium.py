@@ -24,7 +24,7 @@ from .model import (
     FlowDistribution,
     WardropResiduals,
     _check_link,
-    cost_gap,
+    cost_gaps,
     wardrop_residuals,
 )
 
@@ -129,16 +129,7 @@ def nash_player_cost(
         xf2=max(q.q2 - y.y2, 0.0),
         xb2=y.y2,
     )
-    cf = c.feed_rate(link)
-    other = 3 - link
-    gap = cf * flow.feed_share(link) - (
-        c.cb
-        * (
-            c.same_factor(link) * flow.bifurcating_share(link)
-            + c.cross_factor(link) * flow.bifurcating_share(other)
-        )
-        + c.nu * flow.bifurcating_share(link) * flow.bifurcating_share(other)
-    )
+    gap = cost_gaps(c, flow.xf1, flow.xb1, flow.xf2, flow.xb2)[link - 1]
     return gap * gap
 
 
@@ -196,22 +187,22 @@ def _grid_axis(q: float, resolution: float) -> np.ndarray:
     return points
 
 
-def violation_magnitude(g: DivergeInstance, x: FlowDistribution) -> float:
-    """Total equilibrium violation of ``x``: for each populated class, the
-    positive part of the cost advantage it is forgoing.
+def violation_magnitude(c: CostCoefficients, xf1, xb1, xf2, xb2):
+    """Total equilibrium violation at the given shares (floats or arrays):
+    for each populated class, the positive part of the cost advantage it is
+    forgoing.
 
     Zero exactly at equilibria.  Unlike the share-weighted residual
     products, this measure stays sharp when a class's share is small, which
     is what lets the grid oracle localize equilibria to grid precision.
     """
-    total = 0.0
-    for link in (1, 2):
-        gap = cost_gap(g.costs, x, link)
-        if x.feed_share(link) > 0.0:
-            total += max(gap, 0.0)
-        if x.bifurcating_share(link) > 0.0:
-            total += max(-gap, 0.0)
-    return total
+    gap1, gap2 = cost_gaps(c, xf1, xb1, xf2, xb2)
+    return (
+        np.where(xf1 > 0.0, np.maximum(gap1, 0.0), 0.0)
+        + np.where(xb1 > 0.0, np.maximum(-gap1, 0.0), 0.0)
+        + np.where(xf2 > 0.0, np.maximum(gap2, 0.0), 0.0)
+        + np.where(xb2 > 0.0, np.maximum(-gap2, 0.0), 0.0)
+    )
 
 
 def solve_grid_oracle(g: DivergeInstance, resolution: float) -> FlowDistribution:
@@ -225,22 +216,12 @@ def solve_grid_oracle(g: DivergeInstance, resolution: float) -> FlowDistribution
     """
     if not resolution > 0:
         raise ValueError(f"resolution must be > 0, got {resolution!r}")
-    c = g.costs
     q1, q2 = g.demand.q1, g.demand.q2
     axis1 = _grid_axis(q1, resolution)
     axis2 = _grid_axis(q2, resolution)
     xb1 = axis1[:, None]
     xb2 = axis2[None, :]
-    xf1 = q1 - xb1
-    xf2 = q2 - xb2
-    gap1 = c.cf1 * xf1 - (c.cb * (c.lambda1 * xb1 + c.mu1 * xb2) + c.nu * xb1 * xb2)
-    gap2 = c.cf2 * xf2 - (c.cb * (c.lambda2 * xb2 + c.mu2 * xb1) + c.nu * xb2 * xb1)
-    objective = (
-        np.where(xf1 > 0.0, np.maximum(gap1, 0.0), 0.0)
-        + np.where(xb1 > 0.0, np.maximum(-gap1, 0.0), 0.0)
-        + np.where(xf2 > 0.0, np.maximum(gap2, 0.0), 0.0)
-        + np.where(xb2 > 0.0, np.maximum(-gap2, 0.0), 0.0)
-    )
+    objective = violation_magnitude(g.costs, q1 - xb1, xb1, q2 - xb2, xb2)
     # argmin scans xb1-major then xb2, so the first minimum is the
     # lexicographically smallest tie.
     i, j = np.unravel_index(int(np.argmin(objective)), objective.shape)

@@ -9,8 +9,11 @@ of the four class proportions; an aggregate flow split is an equilibrium when
 no populated class could lower its cost by switching lanes, which this module
 expresses through four signed residual products (one per lane class).
 
-Everything here is a pure function over small frozen dataclasses, safe to
-call concurrently.
+:func:`lane_costs` is the one statement of the cost model.  It, and the
+:func:`cost_gaps` and :func:`residual_products` derived from it, take the
+four shares as floats or as numpy arrays of one shape, so the solvers, the
+calibrator and the simulator all evaluate the same arithmetic.  The types
+are small frozen dataclasses and every function here is pure.
 """
 
 from __future__ import annotations
@@ -204,31 +207,47 @@ def check_feasible(demand: DemandConfig, flow: FlowDistribution, tol: float = AB
             )
 
 
-def feed_through_cost(c: CostCoefficients, x: FlowDistribution, link: int) -> float:
-    """Cost experienced by feed-through users of ``link``: rate times share."""
-    _check_link(link)
-    return c.feed_rate(link) * x.feed_share(link)
+def lane_costs(c: CostCoefficients, xf1, xb1, xf2, xb2):
+    """Lane costs ``(feed 1, bifurcating 1, feed 2, bifurcating 2)`` at the
+    given class shares, which may be floats or numpy arrays.
 
-
-def bifurcating_cost(c: CostCoefficients, x: FlowDistribution, link: int) -> float:
-    """Cost experienced by bifurcating-lane users bound for ``link``.
-
-    The shared-lane load enters through the capacity-increase factors and the
-    heterogeneity penalty multiplies the two bifurcating shares.
+    A feed-through lane costs its rate times its share.  The shared lane's
+    load enters each bifurcating cost through that link's capacity-increase
+    factors, and both bifurcating costs carry the same heterogeneity penalty
+    ``nu * (xb1 * xb2)``, so the costs of a symmetric diverge mirror exactly.
     """
-    _check_link(link)
-    other = 3 - link
-    xb_own = x.bifurcating_share(link)
-    xb_other = x.bifurcating_share(other)
+    heterogeneity = c.nu * (xb1 * xb2)
     return (
-        c.cb * (c.same_factor(link) * xb_own + c.cross_factor(link) * xb_other)
-        + c.nu * xb_own * xb_other
+        c.cf1 * xf1,
+        c.cb * (c.lambda1 * xb1 + c.mu1 * xb2) + heterogeneity,
+        c.cf2 * xf2,
+        c.cb * (c.lambda2 * xb2 + c.mu2 * xb1) + heterogeneity,
     )
 
 
-def cost_gap(c: CostCoefficients, x: FlowDistribution, link: int) -> float:
-    """Feed-through cost minus bifurcating cost for ``link`` at ``x``."""
-    return feed_through_cost(c, x, link) - bifurcating_cost(c, x, link)
+def cost_gaps(c: CostCoefficients, xf1, xb1, xf2, xb2):
+    """Feed-through cost minus bifurcating cost on links 1 and 2."""
+    f1, b1, f2, b2 = lane_costs(c, xf1, xb1, xf2, xb2)
+    return f1 - b1, f2 - b2
+
+
+def residual_products(c: CostCoefficients, xf1, xb1, xf2, xb2):
+    """The four equilibrium residual products ``(rf1, rb1, rf2, rb2)``: each
+    class share times the cost it would save by switching lanes."""
+    gap1, gap2 = cost_gaps(c, xf1, xb1, xf2, xb2)
+    return (xf1 * gap1, xb1 * -gap1, xf2 * gap2, xb2 * -gap2)
+
+
+def feed_through_cost(c: CostCoefficients, x: FlowDistribution, link: int) -> float:
+    """Cost experienced by feed-through users of ``link``: rate times share."""
+    _check_link(link)
+    return lane_costs(c, x.xf1, x.xb1, x.xf2, x.xb2)[2 * link - 2]
+
+
+def bifurcating_cost(c: CostCoefficients, x: FlowDistribution, link: int) -> float:
+    """Cost experienced by bifurcating-lane users bound for ``link``."""
+    _check_link(link)
+    return lane_costs(c, x.xf1, x.xb1, x.xf2, x.xb2)[2 * link - 1]
 
 
 def wardrop_residuals(g: DivergeInstance, x: FlowDistribution) -> WardropResiduals:
@@ -238,14 +257,7 @@ def wardrop_residuals(g: DivergeInstance, x: FlowDistribution) -> WardropResidua
     :class:`FeasibilityError` naming the violated constraint.
     """
     check_feasible(g.demand, x)
-    gap1 = cost_gap(g.costs, x, 1)
-    gap2 = cost_gap(g.costs, x, 2)
-    return WardropResiduals(
-        rf1=x.xf1 * gap1,
-        rb1=x.xb1 * -gap1,
-        rf2=x.xf2 * gap2,
-        rb2=x.xb2 * -gap2,
-    )
+    return WardropResiduals(*residual_products(g.costs, x.xf1, x.xb1, x.xf2, x.xb2))
 
 
 def is_wardrop_equilibrium(
@@ -258,10 +270,7 @@ def is_wardrop_equilibrium(
         check_feasible(g.demand, x, tol=max(tol, ABS_TOL))
     except FeasibilityError:
         return False
-    gap1 = cost_gap(g.costs, x, 1)
-    gap2 = cost_gap(g.costs, x, 2)
-    residuals = (x.xf1 * gap1, x.xb1 * -gap1, x.xf2 * gap2, x.xb2 * -gap2)
-    return max(residuals) <= tol
+    return max(residual_products(g.costs, x.xf1, x.xb1, x.xf2, x.xb2)) <= tol
 
 
 def uniqueness_margins(c: CostCoefficients) -> tuple[float, float]:

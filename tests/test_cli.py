@@ -1,5 +1,6 @@
 """Command-line surface: outputs, file effects, exit codes."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import divergelane
 
 from divergelane import (
+    CostCoefficients,
     DemandConfig,
     DivergeInstance,
     count_violations,
@@ -18,7 +20,7 @@ from divergelane import (
     solve_fixed_point,
     write_coefficients,
 )
-from divergelane.cli import main
+from divergelane.cli import MAX_RANGE_POINTS, _range_values, main
 
 from conftest import CAL_VAL, NOISY_FIVE_CSV
 
@@ -180,6 +182,53 @@ class TestGenerate:
              "--out", tmp_path / "x.csv"],
         )
         assert code == 1
+
+
+class TestRanges:
+    """``sweep --range/--step`` and ``generate --sweep`` expand to at most
+    MAX_RANGE_POINTS finite points; anything else is bad input."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--range", "0.3:inf", "--step", "0.1"],
+            ["sweep", "--range", "0.3:0.5", "--step", "nan"],
+            ["generate", "--sweep", "1150:inf:50"],
+            ["generate", "--sweep", "1150:1850:inf"],
+        ],
+    )
+    def test_non_finite_range_exits_1(self, capsys, tmp_path, coeffs_file, command):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, [command[0], "--coeffs", coeffs_file, *command[1:], "--out", out_path]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--range", f"0:{MAX_RANGE_POINTS}", "--step", "1"],
+            ["generate", "--sweep", f"0:{MAX_RANGE_POINTS}:1"],
+        ],
+    )
+    def test_one_point_over_the_cap_exits_1(self, capsys, tmp_path, coeffs_file, command):
+        # 0, 1, ..., MAX_RANGE_POINTS is one point more than the cap.
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, [command[0], "--coeffs", coeffs_file, *command[1:], "--out", out_path]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"more than {MAX_RANGE_POINTS} points" in err
+        assert not out_path.exists()
+
+    def test_range_at_the_cap_is_accepted(self):
+        values = _range_values(0.0, float(MAX_RANGE_POINTS - 1), 1.0)
+        assert len(values) == MAX_RANGE_POINTS
+        assert values[-1] == MAX_RANGE_POINTS - 1
 
 
 class TestCalibrate:
@@ -394,3 +443,50 @@ class TestVerify:
             capsys, ["verify", "--coeffs", coeffs_file, "--data", path, "--tol", "0.1"]
         )
         assert code_loose == 0
+
+
+class TestPinnedBytes:
+    """Digests of ``sweep`` and symmetric ``calibrate`` outputs, which a
+    last-bit change in the cost arithmetic must not move.  The ``generate``
+    digests are pinned in ``test_datagen.py``."""
+
+    @pytest.mark.parametrize(
+        "coeffs, digest",
+        [
+            (CAL_VAL, "cc873fa211a8dfcedc98e191cebf643db494887396d7e1b79b4da6418121fc3f"),
+            # Fails the uniqueness margin on both links (-4.5).
+            (
+                CostCoefficients(1.0, 1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 5.0),
+                "8bc9ccfb422bd706ed9c52f57c3fd252739b0c226c13432cf1f7d10b1d6b3e87",
+            ),
+        ],
+    )
+    def test_sweep_bytes(self, capsys, tmp_path, coeffs, digest):
+        path = tmp_path / "diverge.coeffs"
+        write_coefficients(path, coeffs, symmetry=True)
+        out_path = tmp_path / "pred.csv"
+        code, _, _ = run(
+            capsys,
+            ["sweep", "--coeffs", path, "--range", "0.02:0.98", "--step", "0.01",
+             "--out", out_path],
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "solver, digest",
+        [
+            ("heuristic", "2ff08869865cff870787dc676dc49d772c23af06bd566c7bb2375eb496dd9737"),
+            ("exact", "33c75be9cc7108e6986b900c02e38fa645a150525e5fe60039651e2255c0f01c"),
+        ],
+    )
+    def test_symmetric_calibrate_bytes(self, capsys, tmp_path, solver, digest):
+        # The report, recovered coefficients included, goes to stdout.
+        path = tmp_path / "noisy.csv"
+        path.write_text(NOISY_FIVE_CSV)
+        code, out, _ = run(
+            capsys,
+            ["calibrate", "--data", path, "--symmetry", "--solver", solver, "--tol", "1e-3"],
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

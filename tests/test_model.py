@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divergelane import (
     CostCoefficients,
+    DataPoint,
     DemandConfig,
     DivergeInstance,
     FeasibilityError,
     FlowDistribution,
     bifurcating_cost,
     check_uniqueness_condition,
+    count_violations,
     feed_through_cost,
     is_wardrop_equilibrium,
+    lane_costs,
     solve_fixed_point,
     uniqueness_margins,
     wardrop_residuals,
@@ -23,6 +28,25 @@ from conftest import CAL_VAL, random_coefficients
 
 def flow(xf1, xb1, xf2, xb2):
     return FlowDistribution(xf1, xb1, xf2, xb2)
+
+
+_rates = st.floats(1.0, 5.0)
+_factors = st.floats(0.1, 1.0)
+#: Coefficients from the property-test ranges of ``random_coefficients``.
+coefficients = st.builds(
+    CostCoefficients, _rates, _rates, _rates, _factors, _factors, _factors, _factors,
+    st.floats(0.1, 3.0),
+)
+
+
+@st.composite
+def data_points(draw):
+    """A feasible data point: any demand split, any bifurcating shares."""
+    q1 = draw(st.floats(0.0, 1.0))
+    demand = DemandConfig(q1, 1.0 - q1)
+    xb1 = draw(st.floats(0.0, demand.q1))
+    xb2 = draw(st.floats(0.0, demand.q2))
+    return DataPoint(demand, FlowDistribution.from_bifurcating_shares(demand, xb1, xb2))
 
 
 class TestFeedThroughCost:
@@ -167,6 +191,7 @@ class TestInvariants:
 
     def test_symmetric_costs_mirror_exactly(self):
         rng = np.random.default_rng(11)
+        array_rng = np.random.default_rng(12)
         for _ in range(200):
             cf = rng.uniform(1.0, 5.0)
             lam = rng.uniform(0.1, 1.0)
@@ -177,6 +202,23 @@ class TestInvariants:
             x = flow(xf1, xb1, xf2, xb2)
             mirrored = flow(xf2, xb2, xf1, xb1)
             assert bifurcating_cost(c, x, 1) == bifurcating_cost(c, mirrored, 2)
+            # The same kernel on numpy arrays of shares mirrors exactly too.
+            shares = array_rng.uniform(0.0, 0.5, (4, 16))
+            f1, b1, f2, b2 = lane_costs(c, *shares)
+            assert np.array_equal(
+                np.stack(lane_costs(c, shares[2], shares[3], shares[0], shares[1])),
+                np.stack((f2, b2, f1, b1)),
+            )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(c=coefficients, data=st.lists(data_points(), min_size=1, max_size=15))
+    def test_calibrator_products_match_verifier_residuals(self, c, data):
+        # The calibrator's condition products (array path) are the verifier's
+        # residuals (scalar path), bit for bit.
+        products = count_violations(c, data).products
+        for row, point in zip(products, data):
+            residuals = wardrop_residuals(DivergeInstance(point.demand, c), point.flow)
+            assert [float(v).hex() for v in row] == [v.hex() for v in residuals.as_tuple()]
 
     def test_residual_antisymmetry(self):
         rng = np.random.default_rng(13)
