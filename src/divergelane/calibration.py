@@ -9,6 +9,15 @@ lambda1`` and so on), which keeps every constraint linear while the factors
 themselves are recovered by division afterwards.  A condition is violated
 when its product exceeds the margin ``epsilon`` (:func:`count_violations`).
 
+A symmetric diverge is not a second model but the same eight coefficients
+with some tied together (``cf1 = cf2 = cb``, ``lambda1 = lambda2``,
+``mu1 = mu2``).  Symmetry is therefore data: a map ``tie`` from each
+coefficient to its free parameter, the identity or
+``(0, 0, 0, 1, 1, 2, 2, 3)``.  Every rule of the encoding (bounds,
+condition rows, coefficient recovery, the search) is written once and reads
+that map; a tied parameter is bounded by the intersection of its
+coefficients' bounds.
+
 Two solvers share that encoding:
 
 * :func:`calibrate_exact` — one mixed-integer program (:func:`build_milp`,
@@ -58,6 +67,18 @@ DEFAULT_UPPER_BOUNDS: dict[str, float] = {
     **{name: 1.0 for name in FACTOR_NAMES},
 }
 
+#: Free parameter of each coefficient (``COEFFICIENT_NAMES`` order) and the
+#: parameters' linearized names, without and with symmetry.
+_TIES = {
+    False: (
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        ("cf1", "cf2", "cb", "cb_lambda1", "cb_lambda2", "cb_mu1", "cb_mu2", "nu"),
+    ),
+    True: ((0, 0, 0, 1, 1, 2, 2, 3), ("cf", "cb_lambda", "cb_mu", "nu")),
+}
+_CB = COEFFICIENT_NAMES.index("cb")
+
+
 class ConfigurationError(ValueError):
     """Calibration options are inconsistent (e.g. a lower bound above an upper)."""
 
@@ -98,7 +119,6 @@ class CalibrationOptions:
     symmetry: bool = False
     lower_bounds: Mapping[str, float] | None = None
     upper_bounds: Mapping[str, float] | None = None
-    solver: str = "heuristic"
     restarts: int = 200
     seed: int = 0
     max_exact_binaries: int = 28
@@ -106,8 +126,6 @@ class CalibrationOptions:
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if self.solver not in ("exact", "heuristic"):
-            raise ValueError(f"solver must be 'exact' or 'heuristic', got {self.solver!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_exact_binaries < 4:
@@ -204,14 +222,41 @@ def count_violations(
     )
 
 
-def _resolve_bounds(opts: CalibrationOptions) -> dict[str, tuple[float, float]]:
-    lower = dict(DEFAULT_LOWER_BOUNDS)
-    upper = dict(DEFAULT_UPPER_BOUNDS)
-    if opts.lower_bounds:
-        lower.update(opts.lower_bounds)
-    if opts.upper_bounds:
-        upper.update(opts.upper_bounds)
-    bounds: dict[str, tuple[float, float]] = {}
+@dataclass(frozen=True)
+class _VariableSpace:
+    """The free parameters of a calibration.
+
+    ``tie[k]`` is the parameter of coefficient ``k`` (``COEFFICIENT_NAMES``
+    order) and ``factor`` marks the parameters of the capacity factors.
+    ``lo``/``hi`` bound each parameter as a coefficient (the search box);
+    ``box`` bounds its linearized variable, which for a factor is the
+    product with the rate ``cb``, and each ``coupling_matrix`` row
+    (``row . z <= 0``) ties such a product to its factor's bounds times the
+    rate variable.
+    """
+
+    tie: tuple[int, ...]
+    names: tuple[str, ...]
+    factor: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    box: tuple[tuple[float, float], ...]
+    coupling_matrix: np.ndarray
+
+    @property
+    def rate(self) -> int:
+        """The parameter of ``cb``, the rate of every factor product."""
+        return self.tie[_CB]
+
+    def coefficients(self, theta: np.ndarray) -> CostCoefficients:
+        """The coefficients of parameter values ``theta``."""
+        values = theta.tolist()
+        return CostCoefficients(*(values[j] for j in self.tie))
+
+
+def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
+    lower = {**DEFAULT_LOWER_BOUNDS, **(opts.lower_bounds or {})}
+    upper = {**DEFAULT_UPPER_BOUNDS, **(opts.upper_bounds or {})}
     for name in COEFFICIENT_NAMES:
         lb, ub = lower[name], upper[name]
         if lb > ub:
@@ -222,123 +267,54 @@ def _resolve_bounds(opts: CalibrationOptions) -> dict[str, tuple[float, float]]:
             )
         if name in RATE_NAMES and not lb > 0:
             raise ConfigurationError(f"{name} lower bound must be > 0, got {lb!r}")
-        bounds[name] = (lb, ub)
-    return bounds
-
-
-def _merge_bounds(
-    bounds: dict[str, tuple[float, float]], names: Sequence[str]
-) -> tuple[float, float]:
-    lb = max(bounds[name][0] for name in names)
-    ub = min(bounds[name][1] for name in names)
-    if lb > ub:
-        raise ConfigurationError(
-            f"symmetry-merged bounds for {'/'.join(names)} are empty: [{lb!r}, {ub!r}]"
-        )
-    return lb, ub
-
-
-@dataclass(frozen=True)
-class _VariableSpace:
-    """Linearized continuous variables, their box, and the coupling rows
-    (each ``row . z <= 0``) tying each rate-times-factor product to the
-    bounds of its factor times its rate variable."""
-
-    symmetry: bool
-    names: tuple[str, ...]
-    box: tuple[tuple[float, float], ...]
-    coupling_matrix: np.ndarray
-    factor_bounds: dict[str, tuple[float, float]]
-    rate_bounds: dict[str, tuple[float, float]]
-
-
-def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
-    bounds = _resolve_bounds(opts)
-    if opts.symmetry:
-        cf = _merge_bounds(bounds, ("cf1", "cf2", "cb"))
-        lam = _merge_bounds(bounds, ("lambda1", "lambda2"))
-        mu = _merge_bounds(bounds, ("mu1", "mu2"))
-        nu = bounds["nu"]
-        names = ("cf", "cb_lambda", "cb_mu", "nu")
-        box = (
-            cf,
-            (lam[0] * cf[0], lam[1] * cf[1]),
-            (mu[0] * cf[0], mu[1] * cf[1]),
-            nu,
-        )
-        factor_bounds = {"cb_lambda": lam, "cb_mu": mu}
-        rate_bounds = {"cf": cf, "nu": nu}
-    else:
-        names = ("cf1", "cf2", "cb", "cb_lambda1", "cb_lambda2", "cb_mu1", "cb_mu2", "nu")
-        factor_bounds = {
-            "cb_lambda1": bounds["lambda1"],
-            "cb_lambda2": bounds["lambda2"],
-            "cb_mu1": bounds["mu1"],
-            "cb_mu2": bounds["mu2"],
-        }
-        rate_bounds = {name: bounds[name] for name in ("cf1", "cf2", "cb", "nu")}
-        cb = bounds["cb"]
-        box = (
-            bounds["cf1"],
-            bounds["cf2"],
-            cb,
-            *(
-                (factor_bounds[name][0] * cb[0], factor_bounds[name][1] * cb[1])
-                for name in ("cb_lambda1", "cb_lambda2", "cb_mu1", "cb_mu2")
-            ),
-            bounds["nu"],
-        )
-    rate = names.index("cf" if opts.symmetry else "cb")
-    matrix = np.zeros((2 * len(factor_bounds), len(names)))
-    for r, (product, (lb, ub)) in enumerate(factor_bounds.items()):
-        matrix[2 * r, [names.index(product), rate]] = (1.0, -ub)  # product <= ub * rate
-        matrix[2 * r + 1, [names.index(product), rate]] = (-1.0, lb)  # product >= lb * rate
-    return _VariableSpace(
-        symmetry=opts.symmetry,
-        names=names,
-        box=box,
-        coupling_matrix=matrix,
-        factor_bounds=factor_bounds,
-        rate_bounds=rate_bounds,
+    tie, names = _TIES[opts.symmetry]
+    lo, hi = [], []
+    for j in range(len(names)):
+        group = [name for name, t in zip(COEFFICIENT_NAMES, tie) if t == j]
+        lb, ub = max(lower[name] for name in group), min(upper[name] for name in group)
+        if lb > ub:
+            raise ConfigurationError(
+                f"symmetry-merged bounds for {'/'.join(group)} are empty: [{lb!r}, {ub!r}]"
+            )
+        lo.append(lb)
+        hi.append(ub)
+    factor = np.zeros(len(names), dtype=bool)
+    factor[[tie[COEFFICIENT_NAMES.index(name)] for name in FACTOR_NAMES]] = True
+    rate = tie[_CB]
+    box = tuple(
+        (lo[j] * lo[rate], hi[j] * hi[rate]) if factor[j] else (lo[j], hi[j])
+        for j in range(len(names))
     )
+    matrix = np.zeros((2 * int(factor.sum()), len(names)))
+    for r, j in enumerate(np.flatnonzero(factor)):
+        matrix[2 * r, [j, rate]] = (1.0, -hi[j])  # product <= ub * rate
+        matrix[2 * r + 1, [j, rate]] = (-1.0, lo[j])  # product >= lb * rate
+    return _VariableSpace(tie, names, factor, np.array(lo), np.array(hi), box, matrix)
 
 
 def linearized_values(c: CostCoefficients, symmetry: bool) -> dict[str, float]:
-    """Map a coefficient vector into the linearized variable space."""
-    if symmetry:
-        return {
-            "cf": c.cf1,
-            "cb_lambda": c.cb * c.lambda1,
-            "cb_mu": c.cb * c.mu1,
-            "nu": c.nu,
-        }
-    return {
-        "cf1": c.cf1,
-        "cf2": c.cf2,
-        "cb": c.cb,
-        "cb_lambda1": c.cb * c.lambda1,
-        "cb_lambda2": c.cb * c.lambda2,
-        "cb_mu1": c.cb * c.mu1,
-        "cb_mu2": c.cb * c.mu2,
-        "nu": c.nu,
-    }
+    """Map a coefficient vector into the linearized variable space (a tied
+    parameter takes the value of the first coefficient in its group)."""
+    tie, names = _TIES[symmetry]
+    values = c.as_tuple()
+    linearized: dict[str, float] = {}
+    for k, j in enumerate(tie):
+        if names[j] not in linearized:
+            factor = COEFFICIENT_NAMES[k] in FACTOR_NAMES
+            linearized[names[j]] = c.cb * values[k] if factor else values[k]
+    return linearized
 
 
 def _gap_rows(a: _Arrays, space: _VariableSpace) -> tuple[np.ndarray, np.ndarray]:
     """Linearized cost gaps of links 1 and 2: row k of each, dotted with the
     linearized variables, is that link's feed-through minus bifurcating
     cost at point k."""
-    col = space.names.index
-    f1, l1, m1, f2, l2, m2 = (
-        ("cf", "cb_lambda", "cb_mu") * 2
-        if space.symmetry
-        else ("cf1", "cb_lambda1", "cb_mu1", "cf2", "cb_lambda2", "cb_mu2")
-    )
+    f1, f2, _, l1, l2, m1, m2, nu = space.tie
     gap1 = np.zeros((a.xf1.shape[0], len(space.names)))
     gap2 = np.zeros_like(gap1)
-    gap1[:, col(f1)], gap1[:, col(l1)], gap1[:, col(m1)] = a.xf1, -a.xb1, -a.xb2
-    gap2[:, col(f2)], gap2[:, col(l2)], gap2[:, col(m2)] = a.xf2, -a.xb2, -a.xb1
-    gap1[:, col("nu")] = gap2[:, col("nu")] = -(a.xb1 * a.xb2)
+    gap1[:, f1], gap1[:, l1], gap1[:, m1] = a.xf1, -a.xb1, -a.xb2
+    gap2[:, f2], gap2[:, l2], gap2[:, m2] = a.xf2, -a.xb2, -a.xb1
+    gap1[:, nu] = gap2[:, nu] = -(a.xb1 * a.xb2)
     return gap1, gap2
 
 
@@ -359,24 +335,12 @@ def _condition_matrix(a: _Arrays, space: _VariableSpace) -> np.ndarray:
 
 
 def _recover_coefficients(z: np.ndarray, space: _VariableSpace) -> CostCoefficients:
-    def clip(value: float, lohi: tuple[float, float]) -> float:
-        return min(max(value, lohi[0]), lohi[1])
-
-    if space.symmetry:
-        cf = clip(float(z[0]), space.rate_bounds["cf"])
-        lam = clip(float(z[1]) / cf, space.factor_bounds["cb_lambda"])
-        mu = clip(float(z[2]) / cf, space.factor_bounds["cb_mu"])
-        nu = clip(float(z[3]), space.rate_bounds["nu"])
-        return CostCoefficients(cf, cf, cf, lam, lam, mu, mu, nu)
-    cf1 = clip(float(z[0]), space.rate_bounds["cf1"])
-    cf2 = clip(float(z[1]), space.rate_bounds["cf2"])
-    cb = clip(float(z[2]), space.rate_bounds["cb"])
-    lam1 = clip(float(z[3]) / cb, space.factor_bounds["cb_lambda1"])
-    lam2 = clip(float(z[4]) / cb, space.factor_bounds["cb_lambda2"])
-    mu1 = clip(float(z[5]) / cb, space.factor_bounds["cb_mu1"])
-    mu2 = clip(float(z[6]) / cb, space.factor_bounds["cb_mu2"])
-    nu = clip(float(z[7]), space.rate_bounds["nu"])
-    return CostCoefficients(cf1, cf2, cb, lam1, lam2, mu1, mu2, nu)
+    """Coefficients of linearized values ``z``: each rate clipped to its
+    bounds, each factor product divided by the clipped ``cb``, then clipped."""
+    theta = np.clip(z, space.lo, space.hi)
+    f = space.factor
+    theta[f] = np.clip(z[f] / theta[space.rate], space.lo[f], space.hi[f])
+    return space.coefficients(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +465,8 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
 # Heuristic solver: multi-start randomized search with coordinate refinement
 
 
-def _search_space(space: _VariableSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Box of the search's parameters, the coefficients themselves (tied
-    under symmetry): the rates other than ``nu``, the factors, then ``nu``."""
-    rates = dict(space.rate_bounds)
-    nu = rates.pop("nu")
-    lo, hi = np.array((*rates.values(), *space.factor_bounds.values(), nu)).T
-    return lo, hi
-
-
-def _theta_to_coefficients(theta: np.ndarray, symmetry: bool) -> CostCoefficients:
-    if symmetry:
-        cf, lam, mu, nu = (float(v) for v in theta)
-        return CostCoefficients(cf, cf, cf, lam, lam, mu, mu, nu)
-    return CostCoefficients(*(float(v) for v in theta))
-
-
 def _objective(
-    theta: np.ndarray, arrays: _Arrays, symmetry: bool, epsilon: float
+    theta: np.ndarray, arrays: _Arrays, space: _VariableSpace, epsilon: float
 ) -> tuple[int, float, float]:
     """Lexicographic search objective.
 
@@ -527,7 +475,7 @@ def _objective(
     that among otherwise equivalent fits the solver prefers one whose
     equilibrium predictions are certified unique.
     """
-    c = _theta_to_coefficients(theta, symmetry)
+    c = space.coefficients(theta)
     _, count, positive = _violated(_products(c, arrays), epsilon)
     margins = uniqueness_margins(c)
     deficit = max(0.0, -min(margins))
@@ -547,10 +495,11 @@ def _least_squares_start(a: _Arrays, space: _VariableSpace) -> np.ndarray | None
     if not interior.any():
         return None
     matrix = np.stack(_gap_rows(a, space), axis=1)[interior]
-    if not space.symmetry:
-        # cb never appears alone in a gap row (only through the products),
-        # so drop its column and anchor it at the mean feed rate afterwards.
-        matrix = matrix[:, [0, 1, 3, 4, 5, 6, 7]]
+    # An untied cb appears in no gap row (only through the products), so
+    # drop its column and anchor it at the mean feed rate afterwards.
+    fitted = sorted({j for k, j in enumerate(space.tie) if k != _CB})
+    if len(fitted) < len(space.names):
+        matrix = matrix[:, fitted]
     # Ridge-anchored least squares: the nearest near-null direction to an
     # all-ones anchor, which keeps underdetermined fits positive.
     d = matrix.shape[1]
@@ -560,40 +509,19 @@ def _least_squares_start(a: _Arrays, space: _VariableSpace) -> np.ndarray | None
     v, *_ = np.linalg.lstsq(augmented, target, rcond=None)
     if v[0] < 0:
         v = -v
-    if space.symmetry:
-        cf, g, h, nu = (float(x) for x in v)
-        if cf <= tiny or nu <= tiny:
-            return None
-        cf_b, nu_b = space.rate_bounds["cf"], space.rate_bounds["nu"]
-        scale = max(cf_b[0] / cf, nu_b[0] / nu)
-        if cf * scale > cf_b[1] or nu * scale > nu_b[1]:
-            return None
-        cf, g, h, nu = cf * scale, g * scale, h * scale, nu * scale
-        lam_b = space.factor_bounds["cb_lambda"]
-        mu_b = space.factor_bounds["cb_mu"]
-        lam = min(max(g / cf, lam_b[0]), lam_b[1])
-        mu = min(max(h / cf, mu_b[0]), mu_b[1])
-        return np.array([cf, lam, mu, nu])
-    cf1, cf2, g1, g2, h1, h2, nu = (float(x) for x in v)
-    if cf1 <= tiny or cf2 <= tiny or nu <= tiny:
+    theta = np.zeros(len(space.names))
+    theta[fitted] = v
+    f1, f2 = space.tie[:2]  # the feed rates' parameters
+    theta[space.rate] = 0.5 * (theta[f1] + theta[f2])
+    rates = ~space.factor
+    if np.any(theta[rates] <= tiny):
         return None
-    cb = 0.5 * (cf1 + cf2)
-    rb = space.rate_bounds
-    scale = max(rb["cf1"][0] / cf1, rb["cf2"][0] / cf2, rb["nu"][0] / nu, rb["cb"][0] / cb)
-    values = np.array([cf1, cf2, cb, g1, g2, h1, h2, nu]) * scale
-    if (
-        values[0] > rb["cf1"][1]
-        or values[1] > rb["cf2"][1]
-        or values[2] > rb["cb"][1]
-        or values[7] > rb["nu"][1]
-    ):
+    theta *= np.max(space.lo[rates] / theta[rates])
+    if np.any(theta[rates] > space.hi[rates]):
         return None
-    fb = space.factor_bounds
-    lam1 = min(max(values[3] / values[2], fb["cb_lambda1"][0]), fb["cb_lambda1"][1])
-    lam2 = min(max(values[4] / values[2], fb["cb_lambda2"][0]), fb["cb_lambda2"][1])
-    mu1 = min(max(values[5] / values[2], fb["cb_mu1"][0]), fb["cb_mu1"][1])
-    mu2 = min(max(values[6] / values[2], fb["cb_mu2"][0]), fb["cb_mu2"][1])
-    return np.array([values[0], values[1], values[2], lam1, lam2, mu1, mu2, values[7]])
+    f = space.factor
+    theta[f] = np.clip(theta[f] / theta[space.rate], space.lo[f], space.hi[f])
+    return theta
 
 
 # The schedule reaches well below the counting margin's width in
@@ -606,16 +534,12 @@ _STEP_FRACTIONS = (
 
 
 def _refine(
-    theta: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    arrays: _Arrays,
-    symmetry: bool,
-    epsilon: float,
+    theta: np.ndarray, arrays: _Arrays, space: _VariableSpace, epsilon: float
 ) -> tuple[tuple[int, float, float], np.ndarray]:
     """Coordinate pattern search from ``theta`` with a shrinking step."""
     theta = theta.copy()
-    value = _objective(theta, arrays, symmetry, epsilon)
+    value = _objective(theta, arrays, space, epsilon)
+    lo, hi = space.lo, space.hi
     span = hi - lo
     for fraction in _STEP_FRACTIONS:
         for _ in range(40):
@@ -628,7 +552,7 @@ def _refine(
                         trial[dim] = min(max(trial[dim] + direction * step, lo[dim]), hi[dim])
                         if trial[dim] == theta[dim]:
                             break
-                        trial_value = _objective(trial, arrays, symmetry, epsilon)
+                        trial_value = _objective(trial, arrays, space, epsilon)
                         if trial_value < value:
                             theta, value = trial, trial_value
                             improved = True
@@ -654,36 +578,24 @@ def calibrate_search(
         raise ValueError("data must be non-empty")
     space = _variable_space(opts)
     arrays = _data_arrays(data)
-    lo, hi = _search_space(space)
+    lo, hi = space.lo, space.hi
     rng = np.random.default_rng(opts.seed)
 
-    starts: list[np.ndarray] = []
-    seed_theta = None
     ls = _least_squares_start(arrays, space)
-    if ls is not None:
-        seed_theta = np.minimum(np.maximum(ls, lo), hi)
-        starts.append(seed_theta)
-    else:
-        starts.append(0.5 * (lo + hi))
+    starts = [0.5 * (lo + hi) if ls is None else np.clip(ls, lo, hi)]
     for _ in range(opts.restarts - 1):
         starts.append(lo + rng.random(lo.shape[0]) * (hi - lo))
 
-    best_value: tuple[int, float, float] | None = None
-    best_theta: np.ndarray | None = None
+    best: tuple[tuple[int, float, float], tuple[float, ...]] | None = None
     for start in starts:
-        value, theta = _refine(start, lo, hi, arrays, opts.symmetry, opts.epsilon)
-        candidate = _theta_to_coefficients(theta, opts.symmetry)
-        key = (value, candidate.as_tuple())
-        if best_value is None or key < (
-            best_value,
-            _theta_to_coefficients(best_theta, opts.symmetry).as_tuple(),
-        ):
-            best_value, best_theta = value, theta
-        if best_value == (0, 0.0, 0.0):
+        value, theta = _refine(start, arrays, space, opts.epsilon)
+        key = (value, space.coefficients(theta).as_tuple())
+        if best is None or key < best:
+            best, best_theta = key, theta
+        if best[0] == (0, 0.0, 0.0):
             break
 
-    assert best_theta is not None
-    coefficients = _theta_to_coefficients(best_theta, opts.symmetry)
+    coefficients = space.coefficients(best_theta)
     report = count_violations(coefficients, data, opts.epsilon)
     return CalibrationResult(
         coefficients=coefficients,

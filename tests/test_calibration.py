@@ -30,8 +30,10 @@ from divergelane import (
     solve_fixed_point,
 )
 from divergelane.calibration import (
+    COEFFICIENT_NAMES,
     DEFAULT_LOWER_BOUNDS,
     DEFAULT_UPPER_BOUNDS,
+    FACTOR_NAMES,
     _condition_matrix,
     _data_arrays,
     _variable_space,
@@ -99,8 +101,6 @@ class TestCalibrationOptions:
             CalibrationOptions(epsilon=float("inf"))
         with pytest.raises(ValueError, match="epsilon"):
             CalibrationOptions(epsilon=float("nan"))
-        with pytest.raises(ValueError, match="solver"):
-            CalibrationOptions(solver="milp")
         with pytest.raises(ValueError, match="restarts"):
             CalibrationOptions(restarts=0)
         with pytest.raises(ValueError, match="unknown coefficient"):
@@ -253,6 +253,106 @@ class TestBuildMilp:
                 x = np.array(z + [float(f) for f in np.ravel(report.flags)] + [0.0])
                 assert np.all(bounds.lb <= x) and np.all(x <= bounds.ub)
                 assert np.all(constraints.A @ x <= constraints.ub + 1e-9)
+
+
+#: Coefficients a symmetric diverge ties to one free parameter.
+TIED_GROUPS = (("cf1", "cf2", "cb"), ("lambda1", "lambda2"), ("mu1", "mu2"), ("nu",))
+
+
+def sum_tied_columns(matrix):
+    """Columns of an asymmetric (one per coefficient) matrix summed by group."""
+    return np.column_stack(
+        [matrix[:, [COEFFICIENT_NAMES.index(n) for n in g]].sum(axis=1) for g in TIED_GROUPS]
+    )
+
+
+@st.composite
+def feasible_points(draw):
+    """One to eight feasible points: any demand split, any bifurcating shares."""
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        q1 = draw(st.floats(0.0, 1.0))
+        demand = DemandConfig(q1, 1.0 - q1)
+        xb1 = draw(st.floats(0.0, demand.q1))
+        xb2 = draw(st.floats(0.0, demand.q2))
+        points.append(
+            DataPoint(demand, FlowDistribution.from_bifurcating_shares(demand, xb1, xb2))
+        )
+    return points
+
+
+@st.composite
+def coefficient_bounds(draw):
+    """Valid per-coefficient bounds.  Unless ``overlap`` is drawn false,
+    each tied group's intervals share a drawn point."""
+    overlap = draw(st.booleans())
+    lower, upper = {}, {}
+    for group in TIED_GROUPS:
+        floor, top = (1e-6, 1.0) if group[0] in FACTOR_NAMES else (0.01, 20.0)
+        pivot = draw(st.floats(floor, top))
+        for name in group:
+            if overlap:
+                lower[name] = draw(st.floats(floor, pivot))
+                upper[name] = draw(st.floats(pivot, top))
+            else:
+                a, b = draw(st.floats(floor, top)), draw(st.floats(floor, top))
+                lower[name], upper[name] = min(a, b), max(a, b)
+    return lower, upper
+
+
+class TestSymmetryTie:
+    """Symmetry is the asymmetric encoding with tied coefficients."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        points=feasible_points(),
+        bounds=coefficient_bounds(),
+        u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    )
+    def test_symmetric_space_is_the_tied_asymmetric_one(self, points, bounds, u):
+        lower, upper = bounds
+        merged_lo = {n: max(lower[m] for m in g) for g in TIED_GROUPS for n in g}
+        merged_hi = {n: min(upper[m] for m in g) for g in TIED_GROUPS for n in g}
+        try:
+            sym = _variable_space(
+                CalibrationOptions(symmetry=True, lower_bounds=lower, upper_bounds=upper)
+            )
+        except ConfigurationError:
+            assert any(merged_lo[n] > merged_hi[n] for n in COEFFICIENT_NAMES)
+            return
+        assert sym.names == ("cf", "cb_lambda", "cb_mu", "nu")
+        arrays = _data_arrays(points)
+        # At most one entry per group is non-zero, so the sums are exact.
+        asym = _variable_space(CalibrationOptions(lower_bounds=lower, upper_bounds=upper))
+        assert np.array_equal(
+            _condition_matrix(arrays, sym), sum_tied_columns(_condition_matrix(arrays, asym))
+        )
+        # Box and coupling rows are those of the mirrored, merged bounds.
+        mirrored = _variable_space(
+            CalibrationOptions(lower_bounds=merged_lo, upper_bounds=merged_hi)
+        )
+        first = [COEFFICIENT_NAMES.index(g[0]) for g in TIED_GROUPS]
+        assert sym.box == tuple(mirrored.box[k] for k in first)
+        assert np.array_equal(sym.lo, mirrored.lo[first])
+        assert np.array_equal(sym.hi, mirrored.hi[first])
+        coupling = sum_tied_columns(mirrored.coupling_matrix)
+        # Rows of lambda1, mu1 and of lambda2, mu2.
+        assert np.array_equal(sym.coupling_matrix, coupling[[0, 1, 4, 5]])
+        assert np.array_equal(sym.coupling_matrix, coupling[[2, 3, 6, 7]])
+        # Parameters map to mirrored coefficients.
+        theta = np.minimum(sym.lo + np.array(u) * (sym.hi - sym.lo), sym.hi)
+        c = sym.coefficients(theta)
+        assert c.cf1 == c.cf2 == c.cb == theta[0]
+        assert c.lambda1 == c.lambda2 == theta[1]
+        assert c.mu1 == c.mu2 == theta[2]
+        assert c.nu == theta[3]
+        linear = linearized_values(c, symmetry=False)
+        assert linearized_values(c, symmetry=True) == {
+            "cf": linear["cf1"],
+            "cb_lambda": linear["cb_lambda1"],
+            "cb_mu": linear["cb_mu1"],
+            "nu": linear["nu"],
+        }
 
 
 class TestCalibrateExact:

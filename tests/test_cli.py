@@ -369,7 +369,7 @@ class TestNonFiniteInput:
         assert out == ""
         assert "convergence_tol" in err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-0.001"])
     def test_non_finite_verify_tol_exits_1(self, capsys, tmp_path, coeffs_file, tol):
         path = tmp_path / "noisy.csv"
         path.write_text(NOISY_FIVE_CSV)
@@ -446,9 +446,9 @@ class TestVerify:
 
 
 class TestPinnedBytes:
-    """Digests of ``sweep`` and symmetric ``calibrate`` outputs, which a
-    last-bit change in the cost arithmetic must not move.  The ``generate``
-    digests are pinned in ``test_datagen.py``."""
+    """Digests of ``sweep`` and ``calibrate`` outputs, which a last-bit
+    change in the cost arithmetic or the calibration encoding must not move.
+    The ``generate`` digests are pinned in ``test_datagen.py``."""
 
     @pytest.mark.parametrize(
         "coeffs, digest",
@@ -487,6 +487,22 @@ class TestPinnedBytes:
         code, out, _ = run(
             capsys,
             ["calibrate", "--data", path, "--symmetry", "--solver", solver, "--tol", "1e-3"],
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "solver, digest",
+        [
+            ("heuristic", "d82dd2639b2b53a642aea5f8c2ebf0169993225ebecc5be074f923554fca335e"),
+            ("exact", "df4565027dadd42b4ff26dad3df0f2c91fe63c82bd7026b70978c9584ee9cf63"),
+        ],
+    )
+    def test_asymmetric_calibrate_bytes(self, capsys, tmp_path, solver, digest):
+        path = tmp_path / "noisy.csv"
+        path.write_text(NOISY_FIVE_CSV)
+        code, out, _ = run(
+            capsys, ["calibrate", "--data", path, "--solver", solver, "--tol", "1e-3"]
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

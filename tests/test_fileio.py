@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divergelane import (
     CostCoefficients,
@@ -17,7 +19,42 @@ from divergelane import (
     solve_fixed_point,
 )
 
+from divergelane.model import FACTOR_FLOOR
+
 from conftest import CAL_VAL, random_coefficients
+
+#: Any valid value of a rate (finite, > 0, subnormals included) or a factor.
+_rates = st.floats(0.0, exclude_min=True, allow_infinity=False)
+_factors = st.floats(FACTOR_FLOOR, 1.0)
+
+
+@st.composite
+def coefficient_files(draw):
+    """Valid coefficients and the symmetry flag to write them with: drawn
+    true only on mirrored coefficients (cf1 = cf2 = cb, lambda1 = lambda2,
+    mu1 = mu2)."""
+    symmetry = draw(st.booleans())
+    if symmetry:
+        cf, lam, mu = draw(_rates), draw(_factors), draw(_factors)
+        c = CostCoefficients(cf, cf, cf, lam, lam, mu, mu, draw(_rates))
+    else:
+        c = CostCoefficients(*(draw(s) for s in [_rates] * 3 + [_factors] * 4 + [_rates]))
+    return c, symmetry
+
+
+@st.composite
+def feasible_datasets(draw):
+    """Zero to six feasible points with any finite, non-negative total."""
+    points = []
+    for _ in range(draw(st.integers(0, 6))):
+        q1 = draw(st.floats(0.0, 1.0))
+        demand = DemandConfig(q1, 1.0 - q1)
+        flow = FlowDistribution.from_bifurcating_shares(
+            demand, draw(st.floats(0.0, demand.q1)), draw(st.floats(0.0, demand.q2))
+        )
+        total = draw(st.floats(0.0, allow_infinity=False))
+        points.append(DataPoint(demand, flow, total))
+    return points
 
 
 GNARLY = CostCoefficients(
@@ -72,6 +109,12 @@ class TestCoefficients:
         with pytest.raises(ParseError, match="duplicate"):
             parse_coefficients("cf1 = 1\ncf1 = 2\n")
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(coefficient_files())
+    def test_round_trip_property(self, case):
+        c, symmetry = case
+        assert parse_coefficients(format_coefficients(c, symmetry)) == c
+
     def test_invalid_values_rejected(self):
         text = format_coefficients(CAL_VAL).replace("lambda1 = 0.87", "lambda1 = 1.87")
         with pytest.raises(ParseError, match="lambda1"):
@@ -96,6 +139,11 @@ def sample_points():
 class TestDataset:
     def test_round_trip_exact(self):
         points = sample_points()
+        assert parse_dataset(format_dataset(points)) == points
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(feasible_datasets())
+    def test_round_trip_property(self, points):
         assert parse_dataset(format_dataset(points)) == points
 
     def test_rows_numbered_from_one(self):
