@@ -37,10 +37,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+
+if TYPE_CHECKING:
+    from scipy.optimize import Bounds, LinearConstraint
 
 from .model import (
     FACTOR_FLOOR,
@@ -398,6 +400,10 @@ def build_milp(
     ``A_k.z`` takes on the box, so ``e_k = 1`` releases the row; the
     factor-coupling rows follow.  The objective is ``sum(e) - s/2``.
     """
+    # scipy loads here, not at import, so commands without a MILP skip its
+    # import time and memory.
+    from scipy.optimize import Bounds, LinearConstraint
+
     space = _variable_space(opts)
     A = _condition_matrix(_data_arrays(data), space)
     m, n = A.shape
@@ -443,6 +449,8 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
             f"guard of {opts.max_exact_binaries}; use solver='heuristic' "
             f"(calibrate_search) or raise max_exact_binaries"
         )
+    from scipy.optimize import milp
+
     space = _variable_space(opts)
     c, integrality, bounds, constraints = build_milp(data, opts)
     with _c_stdout_silenced():

@@ -11,6 +11,8 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .calibration import (
     CalibrationOptions,
     DataPoint,
@@ -19,7 +21,7 @@ from .calibration import (
     calibrate_search,
 )
 from .datagen import SimulationConfig, generate_dataset
-from .equilibrium import SolverOptions, solve_fixed_point
+from .equilibrium import SolverOptions, solve_equilibria
 from .fileio import (
     ParseError,
     format_coefficients,
@@ -30,9 +32,9 @@ from .fileio import (
 )
 from .model import (
     DemandConfig,
-    DivergeInstance,
+    FlowDistribution,
+    max_residual,
     uniqueness_margins,
-    wardrop_residuals,
 )
 
 EXIT_OK = 0
@@ -49,7 +51,7 @@ _EPILOG = """\
 exit codes:
   0  success
   1  bad input (parse or validation error)
-  2  equilibrium solver did not converge
+  2  no split certified as an equilibrium at the tolerance
   3  exact calibration refused (too many conditions); use --solver heuristic
   4  uniqueness condition failed on some link
 """
@@ -89,41 +91,44 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
-def _solve_row(coeffs, q1: float, tol: float) -> tuple[str, bool]:
-    demand = DemandConfig(q1, 1.0 - q1)
-    report = solve_fixed_point(
-        DivergeInstance(demand, coeffs), SolverOptions(convergence_tol=tol)
-    )
-    flow = report.flow
-    row = (
-        f"{demand.q1!r},{demand.q2!r},{flow.xf1!r},{flow.xb1!r},{flow.xf2!r},{flow.xb2!r},"
-        f"{_bool_text(report.converged)},{report.residuals.max_residual!r}"
-    )
-    return row, report.converged
+def _solve_demands(
+    coeffs, demands: list[DemandConfig], tol: float
+) -> tuple[list[FlowDistribution], list[float]]:
+    """Closed-form equilibrium flow and its largest residual per demand."""
+    xb1, xb2, residual, _ = solve_equilibria(coeffs, np.array([d.q1 for d in demands]), tol)
+    flows = [
+        FlowDistribution.from_bifurcating_shares(d, b1, b2)
+        for d, b1, b2 in zip(demands, xb1.tolist(), xb2.tolist())
+    ]
+    return flows, residual.tolist()
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     coeffs = load_coefficients(args.coeffs)
-    row, converged = _solve_row(coeffs, args.q1, args.tol)
+    demand = DemandConfig(args.q1, 1.0 - args.q1)
+    tol = SolverOptions(convergence_tol=args.tol).convergence_tol
+    (flow,), (residual,) = _solve_demands(coeffs, [demand], tol)
+    certified = residual <= tol
     print("q1,q2,xf1,xb1,xf2,xb2,converged,max_residual")
-    print(row)
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    print(
+        f"{demand.q1!r},{demand.q2!r},{flow.xf1!r},{flow.xb1!r},{flow.xf2!r},{flow.xb2!r},"
+        f"{_bool_text(certified)},{residual!r}"
+    )
+    return EXIT_OK if certified else EXIT_NO_CONVERGENCE
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     coeffs = load_coefficients(args.coeffs)
     start, stop = _parse_range(args.range)
-    points: list[DataPoint] = []
-    all_converged = True
-    for q1 in _range_values(start, stop, args.step):
-        demand = DemandConfig(q1, 1.0 - q1)
-        report = solve_fixed_point(DivergeInstance(demand, coeffs))
-        all_converged = all_converged and report.converged
-        points.append(
-            DataPoint(demand=demand, flow=report.flow, total_demand_vph=args.D)
-        )
+    demands = [DemandConfig(q1, 1.0 - q1) for q1 in _range_values(start, stop, args.step)]
+    tol = SolverOptions().convergence_tol
+    flows, residuals = _solve_demands(coeffs, demands, tol)
+    points = [
+        DataPoint(demand=demand, flow=flow, total_demand_vph=args.D)
+        for demand, flow in zip(demands, flows)
+    ]
     write_dataset(args.out, points)
-    return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if max(residuals) <= tol else EXIT_NO_CONVERGENCE
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -185,16 +190,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"dataset {args.data!r} contains no rows")
     if not 0 <= args.tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {args.tol!r}")
+    # load_dataset has checked feasibility, so the residuals decide.
+    xf1, xb1, xf2, xb2 = np.array(
+        [(p.flow.xf1, p.flow.xb1, p.flow.xf2, p.flow.xb2) for p in data]
+    ).T
+    residuals = max_residual(coeffs, xf1, xb1, xf2, xb2).tolist()
     rows = ["k,max_residual,pass"]
-    all_pass = True
-    for k, point in enumerate(data, start=1):
-        # load_dataset has checked feasibility, so the residuals decide.
-        residuals = wardrop_residuals(DivergeInstance(point.demand, coeffs), point.flow)
-        ok = residuals.max_residual <= args.tol
-        all_pass = all_pass and ok
-        rows.append(f"{k},{residuals.max_residual!r},{_bool_text(ok)}")
+    for k, residual in enumerate(residuals, start=1):
+        rows.append(f"{k},{residual!r},{_bool_text(residual <= args.tol)}")
     print("\n".join(rows))
-    return EXIT_OK if all_pass else EXIT_CONDITION_FAILED
+    return EXIT_OK if max(residuals) <= args.tol else EXIT_CONDITION_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one demand split and print the flow row")
     solve.add_argument("--coeffs", required=True, help="coefficients file")
     solve.add_argument("--q1", type=float, required=True, help="normalized exit-1 demand")
-    solve.add_argument("--tol", type=float, default=1e-12, help="convergence tolerance")
+    solve.add_argument("--tol", type=float, default=1e-12, help="certification tolerance")
     solve.set_defaults(handler=_cmd_solve)
 
     sweep = sub.add_parser("sweep", help="solve a q1 range and write a dataset CSV")

@@ -1,13 +1,21 @@
 """Equilibrium computation for the diverge lane-choice model.
 
-The equilibrium is computed through the closed-form best response of an
-auxiliary two-player game: player ``i`` picks its bifurcating share in
-``[0, q_i]`` to minimize the squared gap between its two lane costs.  Its
-best response is the interior root of the (linear-in-own-share) cost gap,
-clipped to the action interval, and the equilibrium is the fixed point of
-the two best responses composed.  A damped Gauss-Seidel iteration finds it;
-an exhaustive grid scan over both bifurcating shares serves as a slow,
-independent oracle.
+Each bifurcating share enters its own link's cost gap linearly, so the
+equilibria have a closed form.  :func:`solve_equilibria` enumerates every
+candidate split for a whole array of demands at once: the four corners of
+the action box, the four splits with one share at a bound and the other at
+its best response, and the two roots of the interior gap equations, which
+reduce to a line and a quadratic.  It certifies each candidate with the
+residual products and returns the best-certified one with the number of
+distinct equilibria.
+
+The paper's method is kept as an independent cross-check: the best
+response of an auxiliary two-player game (player ``i`` picks its
+bifurcating share in ``[0, q_i]`` to minimize the squared gap between its
+two lane costs) is the interior root of the gap clipped to the action
+interval, and :func:`solve_fixed_point` iterates the two best responses,
+damped, to their fixed point.  An exhaustive grid scan over both
+bifurcating shares serves as a slow oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +33,12 @@ from .model import (
     WardropResiduals,
     _check_link,
     cost_gaps,
+    max_residual,
     wardrop_residuals,
 )
+
+#: Candidates closer than this in both shares count as one equilibrium.
+DISTINCT_TOL = 1e-9
 
 
 class BoundaryBranchError(ValueError):
@@ -75,23 +87,32 @@ class EquilibriumReport:
     converged: bool
 
 
+def _gap_root(c: CostCoefficients, q_i, x_j_b, link: int):
+    """Own share that zeroes ``link``'s cost gap, unclipped, and the gap's
+    slope magnitude in that share (floats or arrays).
+
+    Solves ``cf*(q_i - x) = cb*(lambda*x + mu*x_j_b) + nu*x*x_j_b`` for the
+    own share ``x``.
+    """
+    cf = c.feed_rate(link)
+    denominator = cf + c.cb * c.same_factor(link) + c.nu * x_j_b
+    return (cf * q_i - c.cb * c.cross_factor(link) * x_j_b) / denominator, denominator
+
+
 def best_response(c: CostCoefficients, q_i: float, x_j_b: float, link: int) -> float:
     """Bifurcating share of ``link`` that equalizes its two lane costs.
 
-    Solves ``cf*(q_i - x) = cb*(lambda*x + mu*x_j_b) + nu*x*x_j_b`` for the
-    own share ``x`` and clips to ``[0, q_i]``; the clipped branches are the
-    all-bifurcating and all-feed-through regimes where one lane dominates
-    over the whole interval.
+    The root of the gap (:func:`_gap_root`) clipped to ``[0, q_i]``; the
+    clipped branches are the all-bifurcating and all-feed-through regimes
+    where one lane dominates over the whole interval.
     """
     _check_link(link)
     if q_i < 0:
         raise ValueError(f"q_i must be non-negative, got {q_i!r}")
     if x_j_b < 0:
         raise ValueError(f"x_j_b must be non-negative, got {x_j_b!r}")
-    cf = c.feed_rate(link)
-    numerator = cf * q_i - c.cb * c.cross_factor(link) * x_j_b
-    denominator = cf + c.cb * c.same_factor(link) + c.nu * x_j_b
-    return min(max(numerator / denominator, 0.0), q_i)
+    root, _ = _gap_root(c, q_i, x_j_b, link)
+    return min(max(root, 0.0), q_i)
 
 
 def best_response_slope(c: CostCoefficients, q_i: float, x_j_b: float, link: int) -> float:
@@ -102,15 +123,122 @@ def best_response_slope(c: CostCoefficients, q_i: float, x_j_b: float, link: int
     :class:`BoundaryBranchError` is raised instead of returning 0.
     """
     _check_link(link)
-    cf = c.feed_rate(link)
-    denominator = cf + c.cb * c.same_factor(link) + c.nu * x_j_b
-    root = (cf * q_i - c.cb * c.cross_factor(link) * x_j_b) / denominator
+    root, denominator = _gap_root(c, q_i, x_j_b, link)
     if root <= 0.0 or root >= q_i:
         raise BoundaryBranchError(
             f"best response for link {link} at x_j_b={x_j_b!r} is at a boundary "
             f"(root {root!r} outside (0, {q_i!r})); slope is 0 there"
         )
     return -(c.cb * c.cross_factor(link) + c.nu * root) / denominator
+
+
+def _interior_roots(c: CostCoefficients, q1: np.ndarray, q2: np.ndarray):
+    """The two candidate splits ``(y1, y2)`` where both cost gaps vanish,
+    unclipped, as arrays of shape ``(2, n)``.
+
+    With ``A_i = cf_i + cb*lambda_i``, subtracting the two gap equations
+    cancels ``nu*y1*y2`` and leaves the line ``a1*y1 + a2*y2 = d``, where
+    ``a1 = cb*mu2 - A1``, ``a2 = A2 - cb*mu1`` and
+    ``d = cf2*q2 - cf1*q1``.  Substituting the line into link 1's gap gives
+    ``nu*a1*y1**2 + (cb*mu1*a1 - a2*A1 - nu*d)*y1 + (a2*cf1*q1 - cb*mu1*d)
+    = 0``, and into link 2's gap the mirror image in ``y2``.  The
+    substitution solves for the share whose line coefficient is smaller in
+    magnitude, so the back-substitution divides by the larger one (never 0
+    unless the line vanishes, in which case the roots are the origin).
+    """
+    A1 = c.cf1 + c.cb * c.lambda1
+    A2 = c.cf2 + c.cb * c.lambda2
+    a1 = c.cb * c.mu2 - A1
+    a2 = A2 - c.cb * c.mu1
+    d = c.cf2 * q2 - c.cf1 * q1
+    if a1 == 0.0 and a2 == 0.0:
+        zero = np.zeros((2, q1.size))
+        return zero, zero
+    swap = abs(a1) > abs(a2)
+    if swap:
+        a_own, a_other, A_own, cfq, cb_mu = a2, a1, A2, c.cf2 * q2, c.cb * c.mu2
+    else:
+        a_own, a_other, A_own, cfq, cb_mu = a1, a2, A1, c.cf1 * q1, c.cb * c.mu1
+    a = c.nu * a_own
+    b = cb_mu * a_own - a_other * A_own - c.nu * d
+    k = a_other * cfq - cb_mu * d
+    # Cancellation-free roots k/h and h/a.  A discriminant below 0 leaves
+    # no real root and is read as 0 (a rounded double root); certification
+    # rejects what is not an equilibrium.  With a = 0 the equation is linear
+    # and k/h is its one root, so it fills both slots.  A root that
+    # overflows lies far outside the box and is clipped with it.
+    h = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * k, 0.0)), b))
+    with np.errstate(over="ignore"):
+        small = np.divide(k, h, out=np.zeros_like(h), where=h != 0.0)
+        large = small if a == 0.0 else np.divide(h, a, out=np.zeros_like(h), where=h != 0.0)
+        own = np.stack((small, large))
+        other = (d - a_own * own) / a_other
+    return (other, own) if swap else (own, other)
+
+
+def _candidate_splits(c: CostCoefficients, q1: np.ndarray, q2: np.ndarray):
+    """The ten candidate splits ``(y1, y2)`` per demand, arrays of shape
+    ``(10, n)`` clipped to the action box, in a fixed order.
+
+    They are the four corners ``(0, 0)``, ``(q1, 0)``, ``(0, q2)``,
+    ``(q1, q2)``; the four splits with ``y1 = 0``, ``y1 = q1``, ``y2 = 0``
+    or ``y2 = q2`` and the other share at its best response; and the two
+    roots of :func:`_interior_roots`.  Every equilibrium is one of them:
+    a share strictly inside its interval zeroes its own gap, and the gap is
+    strictly decreasing in the own share, so the other share's response is
+    unique.
+    """
+    zero = np.zeros_like(q1)
+    root1, root2 = _interior_roots(c, q1, q2)
+    y1 = np.stack(
+        (zero, q1, zero, q1, zero, q1, _gap_root(c, q1, zero, 1)[0], _gap_root(c, q1, q2, 1)[0])
+    )
+    y2 = np.stack(
+        (zero, zero, q2, q2, _gap_root(c, q2, zero, 2)[0], _gap_root(c, q2, q1, 2)[0], zero, q2)
+    )
+    return (
+        np.clip(np.concatenate((y1, root1)), 0.0, q1),
+        np.clip(np.concatenate((y2, root2)), 0.0, q2),
+    )
+
+
+def solve_equilibria(
+    c: CostCoefficients, q1: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Equilibria for an array of exit-1 demands ``q1`` (``q2 = 1 - q1``),
+    in closed form.
+
+    Every candidate of :func:`_candidate_splits` is certified when its
+    largest residual product is ``<= tol``.  Returns the arrays
+    ``(xb1, xb2, max_residual, count)``: the candidate with the smallest
+    largest residual product (the first in candidate order on a tie, so
+    output is deterministic), that residual, and the number of distinct
+    certified equilibria, counting candidates within ``DISTINCT_TOL`` in
+    both shares as one.  A row with ``count == 0`` did not certify; it
+    still holds its least-residual candidate.
+    """
+    q1 = np.asarray(q1, dtype=float)
+    if q1.ndim != 1 or not np.all((q1 >= 0.0) & (q1 <= 1.0)):
+        raise ValueError("q1 must be a 1-d array of finite demand shares in [0, 1]")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    q2 = 1.0 - q1
+    y1, y2 = _candidate_splits(c, q1, q2)
+    residual = max_residual(c, q1 - y1, y1, q2 - y2, y2)
+    certified = residual <= tol
+    count = np.zeros(q1.shape, dtype=int)
+    for k in range(len(y1)):
+        seen = np.zeros(q1.shape, dtype=bool)
+        for j in range(k):
+            seen |= (
+                certified[j]
+                & (np.abs(y1[j] - y1[k]) <= DISTINCT_TOL)
+                & (np.abs(y2[j] - y2[k]) <= DISTINCT_TOL)
+            )
+        count += certified[k] & ~seen
+    best = np.argmin(residual, axis=0)
+    rows = np.arange(q1.size)
+    return y1[best, rows], y2[best, rows], residual[best, rows], count
 
 
 def nash_player_cost(

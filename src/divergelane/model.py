@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 #: Absolute tolerance for internal feasibility and equality checks.
 ABS_TOL = 1e-12
 
@@ -236,6 +238,20 @@ def residual_products(c: CostCoefficients, xf1, xb1, xf2, xb2):
     class share times the cost it would save by switching lanes."""
     gap1, gap2 = cost_gaps(c, xf1, xb1, xf2, xb2)
     return (xf1 * gap1, xb1 * -gap1, xf2 * gap2, xb2 * -gap2)
+
+
+def max_residual(c: CostCoefficients, xf1, xb1, xf2, xb2) -> np.ndarray:
+    """Largest residual product at the given share arrays, elementwise.
+
+    Ties keep the earlier product, as the built-in ``max`` of
+    :attr:`WardropResiduals.max_residual` does, so a signed zero prints the
+    same from either.
+    """
+    rf1, rb1, rf2, rb2 = residual_products(c, xf1, xb1, xf2, xb2)
+    largest = rf1
+    for product in (rb1, rf2, rb2):
+        largest = np.where(product > largest, product, largest)
+    return largest
 
 
 def feed_through_cost(c: CostCoefficients, x: FlowDistribution, link: int) -> float:

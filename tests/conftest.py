@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from divergelane import (
     CostCoefficients,
@@ -51,6 +52,15 @@ def random_coefficients(rng: np.random.Generator) -> CostCoefficients:
     lam1, lam2, mu1, mu2 = rng.uniform(0.1, 1.0, 4)
     nu = rng.uniform(0.1, 3.0)
     return CostCoefficients(cf1, cf2, cb, lam1, lam2, mu1, mu2, nu)
+
+
+_rates = st.floats(1.0, 5.0)
+_factors = st.floats(0.1, 1.0)
+#: Coefficients from the property-test ranges of ``random_coefficients``.
+coefficients = st.builds(
+    CostCoefficients, _rates, _rates, _rates, _factors, _factors, _factors, _factors,
+    st.floats(0.1, 3.0),
+)
 
 
 def random_uniqueness_instance(rng: np.random.Generator) -> DivergeInstance:

@@ -13,11 +13,11 @@ import divergelane
 
 from divergelane import (
     CostCoefficients,
-    DemandConfig,
     DivergeInstance,
+    FlowDistribution,
     count_violations,
     load_dataset,
-    solve_fixed_point,
+    wardrop_residuals,
     write_coefficients,
 )
 from divergelane.cli import MAX_RANGE_POINTS, _range_values, main
@@ -122,8 +122,10 @@ class TestSweep:
         )
         assert code == 0
         (point,) = load_dataset(out_path)
-        report = solve_fixed_point(DivergeInstance(DemandConfig(0.5, 0.5), CAL_VAL))
-        assert point.flow == report.flow
+        code, out, _ = run(capsys, ["solve", "--coeffs", coeffs_file, "--q1", "0.5"])
+        assert code == 0
+        fields = out.strip().splitlines()[1].split(",")
+        assert point.flow == FlowDistribution(*map(float, fields[2:6]))
 
     def test_reversed_range_exits_1(self, capsys, tmp_path, coeffs_file):
         code, _, err = run(
@@ -322,6 +324,19 @@ class TestCalibrate:
         assert lines[8:10] == ["certificate = exact", "violations = 4"]
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # Only exact calibration needs scipy; it loads there, not at import.
+    src = str(Path(divergelane.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, divergelane.cli; print('scipy' in sys.modules)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stdout.decode().strip() == "False"
+
+
 class TestNonFiniteInput:
     """Non-finite numbers are bad input (exit 1), never a NaN result."""
 
@@ -444,6 +459,26 @@ class TestVerify:
         )
         assert code_loose == 0
 
+    def test_rows_match_per_row_residuals(self, capsys, tmp_path, coeffs_file):
+        # Rows at q1 = 0 and 1 carry signed-zero residuals; the array path
+        # prints what the per-row WardropResiduals reference prints.
+        path = tmp_path / "model.csv"
+        run(capsys, ["sweep", "--coeffs", coeffs_file, "--range", "0:1",
+                     "--step", "0.125", "--out", path])
+        noisy = tmp_path / "noisy.csv"
+        noisy.write_text(NOISY_FIVE_CSV)
+        outputs = []
+        for data in (path, noisy):
+            _, out, _ = run(capsys, ["verify", "--coeffs", coeffs_file, "--data", data])
+            expected = ["k,max_residual,pass"]
+            for k, point in enumerate(load_dataset(data), start=1):
+                worst = wardrop_residuals(DivergeInstance(point.demand, CAL_VAL), point.flow)
+                verdict = "true" if worst.max_residual <= 1e-9 else "false"
+                expected.append(f"{k},{worst.max_residual!r},{verdict}")
+            assert out.splitlines() == expected
+            outputs.append(out)
+        assert "1,-0.0,true" in outputs[0]
+
 
 class TestPinnedBytes:
     """Digests of ``sweep`` and ``calibrate`` outputs, which a last-bit
@@ -453,11 +488,16 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "coeffs, digest",
         [
-            (CAL_VAL, "cc873fa211a8dfcedc98e191cebf643db494887396d7e1b79b4da6418121fc3f"),
+            pytest.param(
+                CAL_VAL,
+                "f2720129caef22c3dce20d5d9e81f5736cac269370a81362fb5687fa456d4612",
+                id="cal_val",
+            ),
             # Fails the uniqueness margin on both links (-4.5).
-            (
+            pytest.param(
                 CostCoefficients(1.0, 1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 5.0),
-                "8bc9ccfb422bd706ed9c52f57c3fd252739b0c226c13432cf1f7d10b1d6b3e87",
+                "4e965b3aba847d6ffde4aab367fb6718486ca22e2e7eb09266407ebc204f61e9",
+                id="margin_fails",
             ),
         ],
     )

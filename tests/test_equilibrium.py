@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divergelane import (
     AuxiliaryAction,
@@ -17,11 +19,14 @@ from divergelane import (
     FlowDistribution,
     is_wardrop_equilibrium,
     nash_player_cost,
+    solve_equilibria,
     solve_fixed_point,
     solve_grid_oracle,
 )
+from divergelane.equilibrium import DISTINCT_TOL, _candidate_splits
+from divergelane.model import max_residual
 
-from conftest import CAL_VAL, random_uniqueness_instance
+from conftest import CAL_VAL, coefficients, random_uniqueness_instance
 
 
 def bisect_best_response(c, q_i, x_j_b, link, tol=1e-13):
@@ -367,3 +372,99 @@ class TestBestResponseSlope:
             assert report.converged
             assert report.flow.xb1 >= previous
             previous = report.flow.xb1
+
+
+def mirrored(c):
+    """The same diverge with the two links' labels swapped."""
+    return CostCoefficients(
+        c.cf2, c.cf1, c.cb, c.lambda2, c.lambda1, c.mu2, c.mu1, c.nu
+    )
+
+
+@st.composite
+def degenerate_coefficients(draw):
+    """Coefficients whose interior line has ``a2 = 0`` exactly, or, mirrored,
+    ``nu*a1 = 0``.  Dyadic values keep ``cf2 + cb*lambda2 - cb*mu1`` exact."""
+    cb = draw(st.integers(4, 20)) / 4
+    lam2 = draw(st.integers(2, 15)) / 16
+    mu1 = draw(st.integers(int(lam2 * 16) + 1, 16)) / 16
+    c = CostCoefficients(
+        draw(st.floats(1.0, 5.0)),
+        cb * (mu1 - lam2),
+        cb,
+        draw(st.floats(0.1, 1.0)),
+        lam2,
+        mu1,
+        draw(st.floats(0.1, 1.0)),
+        draw(st.floats(0.1, 3.0)),
+    )
+    assert c.cf2 + c.cb * c.lambda2 - c.cb * c.mu1 == 0.0
+    return mirrored(c) if draw(st.booleans()) else c
+
+
+#: Exit-1 demands: both single-destination ends plus random interior shares.
+demand_arrays = st.lists(st.floats(0.0, 1.0), max_size=12).map(
+    lambda q: np.array([0.0, 1.0, *q])
+)
+
+
+class TestSolveEquilibria:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(c=st.one_of(coefficients, degenerate_coefficients()), q1=demand_arrays)
+    def test_against_fixed_point(self, c, q1):
+        xb1, xb2, residual, count = solve_equilibria(c, q1, 1e-12)
+        assert np.all(residual <= 1e-12)
+        assert np.all(count >= 1)
+        y1, y2 = _candidate_splits(c, q1, 1.0 - q1)
+        certified = max_residual(c, q1 - y1, y1, 1.0 - q1 - y2, y2) <= 1e-12
+        for i, q in enumerate(q1.tolist()):
+            report = solve_fixed_point(DivergeInstance(DemandConfig(q, 1.0 - q), c))
+            if not report.converged:
+                continue
+            assert residual[i] <= report.residuals.max_residual
+            near = (np.abs(y1[:, i] - report.flow.xb1) <= 1e-9) & (
+                np.abs(y2[:, i] - report.flow.xb2) <= 1e-9
+            )
+            assert np.any(certified[:, i] & near)
+
+    def test_symmetric_demand_quadratic_root(self):
+        xb1, xb2, residual, count = solve_equilibria(CAL_VAL, np.array([0.5]), 1e-12)
+        assert xb1[0] == pytest.approx(FP_SYMMETRIC_ROOT, abs=1e-15)
+        assert xb2[0] == pytest.approx(FP_SYMMETRIC_ROOT, abs=1e-15)
+        assert count.tolist() == [1]
+
+    def test_counts_every_equilibrium(self):
+        # Fails the uniqueness margin on both links: at q1 = 0.18 link 1 all
+        # on feed-through, link 2 all on feed-through, and one interior split
+        # are all equilibria.
+        c = CostCoefficients(2.6, 0.5, 5.0, 0.6, 0.05, 0.8, 1.0, 18.0)
+        q1 = np.array([0.18])
+        *_, count = solve_equilibria(c, q1, 1e-12)
+        assert count.tolist() == [3]
+        y1, y2 = _candidate_splits(c, q1, 1.0 - q1)
+        g = DivergeInstance(DemandConfig(0.18, 1.0 - 0.18), c)
+        found = {
+            (round(a / DISTINCT_TOL), round(b / DISTINCT_TOL))
+            for a, b in zip(y1[:, 0].tolist(), y2[:, 0].tolist())
+            if is_wardrop_equilibrium(
+                g, FlowDistribution.from_bifurcating_shares(g.demand, a, b), 1e-12
+            )
+        }
+        assert len(found) == 3
+
+    def test_deterministic_and_row_independent(self):
+        q1 = np.linspace(0.0, 1.0, 41)
+        whole = solve_equilibria(CAL_VAL, q1, 1e-12)
+        for i in (0, 17, 40):
+            row = solve_equilibria(CAL_VAL, q1[i : i + 1], 1e-12)
+            assert [a[0] for a in row] == [a[i] for a in whole]
+
+    @pytest.mark.parametrize("q1", [[-0.1], [1.5], [np.nan], [[0.5]]])
+    def test_bad_demands_rejected(self, q1):
+        with pytest.raises(ValueError, match="q1"):
+            solve_equilibria(CAL_VAL, np.array(q1), 1e-12)
+
+    @pytest.mark.parametrize("tol", [-1e-12, np.inf, np.nan])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve_equilibria(CAL_VAL, np.array([0.5]), tol)

@@ -23,20 +23,11 @@ from divergelane import (
     wardrop_residuals,
 )
 
-from conftest import CAL_VAL, random_coefficients
+from conftest import CAL_VAL, coefficients, random_coefficients
 
 
 def flow(xf1, xb1, xf2, xb2):
     return FlowDistribution(xf1, xb1, xf2, xb2)
-
-
-_rates = st.floats(1.0, 5.0)
-_factors = st.floats(0.1, 1.0)
-#: Coefficients from the property-test ranges of ``random_coefficients``.
-coefficients = st.builds(
-    CostCoefficients, _rates, _rates, _rates, _factors, _factors, _factors, _factors,
-    st.floats(0.1, 3.0),
-)
 
 
 @st.composite
