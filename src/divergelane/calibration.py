@@ -23,7 +23,8 @@ Two solvers share that encoding:
 * :func:`calibrate_exact` — one mixed-integer program (:func:`build_milp`,
   one indicator per condition) solved by HiGHS through
   :func:`scipy.optimize.milp`, returning a provably minimal violation count
-  (guarded to small instances).
+  when HiGHS closes the search within ``MILP_NODE_LIMIT`` branch-and-bound
+  nodes, and its best fit so far otherwise.
 * :func:`calibrate_search` — seeded multi-start randomized search with
   coordinate refinement, scalable to any size but only a heuristic
   certificate.
@@ -80,13 +81,14 @@ _TIES = {
 }
 _CB = COEFFICIENT_NAMES.index("cb")
 
+#: Branch-and-bound nodes HiGHS may explore in :func:`calibrate_exact`.  A
+#: node count, unlike a wall clock, stops every run at the same incumbent,
+#: so the output stays byte-deterministic.
+MILP_NODE_LIMIT = 10_000
+
 
 class ConfigurationError(ValueError):
     """Calibration options are inconsistent (e.g. a lower bound above an upper)."""
-
-
-class ExactSolverGuardError(RuntimeError):
-    """The instance exceeds the exact solver's binary-count guard."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,9 @@ class CalibrationOptions:
     when its product exceeds it.  Scale it to the data's noise floor: 1e-6
     suits solver-generated data, while simulator output typically needs 1e-3
     to 1e-2.  ``lower_bounds``/``upper_bounds`` override the default
-    coefficient box (rates in [1, 10], factors in (0, 1]).
+    coefficient box (rates in [1, 10], factors in (0, 1]).  ``restarts``
+    and ``seed`` drive :func:`calibrate_search` only; the exact solver's
+    effort is bounded by the module constant ``MILP_NODE_LIMIT``.
     """
 
     epsilon: float = 1e-6
@@ -123,15 +127,12 @@ class CalibrationOptions:
     upper_bounds: Mapping[str, float] | None = None
     restarts: int = 200
     seed: int = 0
-    max_exact_binaries: int = 28
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_exact_binaries < 4:
-            raise ValueError(f"max_exact_binaries must be >= 4, got {self.max_exact_binaries}")
         for mapping in (self.lower_bounds, self.upper_bounds):
             if mapping is not None:
                 unknown = set(mapping) - set(COEFFICIENT_NAMES)
@@ -436,25 +437,24 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
     the satisfied products to <= 0 where it can.  The recovered
     coefficients are recounted with :func:`count_violations`, and the
     certificate is ``exact`` only when the recount meets the bound.
-    Refuses instances with more than ``opts.max_exact_binaries`` conditions;
-    use :func:`calibrate_search` (or raise the guard) beyond that.
+    HiGHS stops after ``MILP_NODE_LIMIT`` nodes with its best fit so far,
+    which the same rule certifies: ``exact`` only if its recount still
+    meets the proven bound.
     """
-    K = len(data)
-    if K == 0:
+    if len(data) == 0:
         raise ValueError("data must be non-empty")
-    n_conditions = 4 * K
-    if n_conditions > opts.max_exact_binaries:
-        raise ExactSolverGuardError(
-            f"instance has {n_conditions} indicator variables, above the exact-solver "
-            f"guard of {opts.max_exact_binaries}; use solver='heuristic' "
-            f"(calibrate_search) or raise max_exact_binaries"
-        )
     from scipy.optimize import milp
 
     space = _variable_space(opts)
     c, integrality, bounds, constraints = build_milp(data, opts)
     with _c_stdout_silenced():
-        result = milp(c, integrality=integrality, bounds=bounds, constraints=constraints)
+        result = milp(
+            c,
+            integrality=integrality,
+            bounds=bounds,
+            constraints=constraints,
+            options={"node_limit": MILP_NODE_LIMIT},
+        )
     if result.x is None:
         raise ConfigurationError(f"the calibration MILP has no solution: {result.message}")
     coefficients = _recover_coefficients(result.x[: len(space.names)], space)

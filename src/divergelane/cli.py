@@ -16,7 +16,6 @@ import numpy as np
 from .calibration import (
     CalibrationOptions,
     DataPoint,
-    ExactSolverGuardError,
     calibrate_exact,
     calibrate_search,
 )
@@ -40,7 +39,6 @@ from .model import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
-EXIT_GUARD = 3
 EXIT_CONDITION_FAILED = 4
 
 #: Most points a ``sweep --range``/``--step`` or ``generate --sweep`` range
@@ -52,7 +50,6 @@ exit codes:
   0  success
   1  bad input (parse or validation error)
   2  no split certified as an equilibrium at the tolerance
-  3  exact calibration refused (too many conditions); use --solver heuristic
   4  uniqueness condition failed on some link
 """
 
@@ -74,7 +71,8 @@ def _range_values(start: float, stop: float, step: float) -> list[float]:
             f"range {start!r}:{stop!r} with step {step!r} has more than "
             f"{MAX_RANGE_POINTS} points"
         )
-    return [start + i * step for i in range(int(math.floor(last)) + 1)]
+    # start + i*step can round one ulp past stop.
+    return [min(start + i * step, stop) for i in range(int(math.floor(last)) + 1)]
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -271,9 +269,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ExactSolverGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

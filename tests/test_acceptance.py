@@ -195,7 +195,7 @@ def test_criterion_05_slope_bounds(capsys):
 def test_criterion_06_noiseless_calibration_round_trip(capsys):
     start = time.perf_counter()
     data = noiseless_protocol_dataset()
-    opts = CalibrationOptions(symmetry=True, max_exact_binaries=60)
+    opts = CalibrationOptions(symmetry=True)
     result = calibrate_exact(data, opts)
     reproduction = 0.0
     for point in data:

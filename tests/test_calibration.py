@@ -16,7 +16,6 @@ from divergelane import (
     DataPoint,
     DemandConfig,
     DivergeInstance,
-    ExactSolverGuardError,
     FeasibilityError,
     FlowDistribution,
     bifurcating_cost,
@@ -29,6 +28,7 @@ from divergelane import (
     parse_dataset,
     solve_fixed_point,
 )
+from divergelane import calibration
 from divergelane.calibration import (
     COEFFICIENT_NAMES,
     DEFAULT_LOWER_BOUNDS,
@@ -358,7 +358,7 @@ class TestSymmetryTie:
 class TestCalibrateExact:
     def test_noiseless_round_trip(self):
         data = noiseless_protocol_dataset()
-        opts = CalibrationOptions(symmetry=True, max_exact_binaries=60)
+        opts = CalibrationOptions(symmetry=True)
         result = calibrate_exact(data, opts)
         assert result.violations == 0
         assert result.certificate == "exact"
@@ -455,10 +455,18 @@ class TestCalibrateExact:
         result = calibrate_exact(data, CalibrationOptions(symmetry=True))
         assert result.violations == 0
 
-    def test_guard_refuses_large_instances(self):
-        data = noiseless_protocol_dataset()
-        with pytest.raises(ExactSolverGuardError, match="heuristic"):
-            calibrate_exact(data, CalibrationOptions(symmetry=True))
+    @pytest.mark.parametrize("symmetry, proven", [(True, 5), (False, 4)])
+    def test_node_limit_leaves_a_heuristic_fit(self, monkeypatch, symmetry, proven):
+        # Stopped after one node, HiGHS has not proven its incumbent
+        # optimal: the fit is certified heuristic, and its count is still
+        # the recount of the coefficients returned.
+        opts = CalibrationOptions(epsilon=1e-3, symmetry=symmetry)
+        result = calibrate_exact(NOISY_FIVE, opts)
+        assert (result.certificate, result.violations) == ("exact", proven)
+        monkeypatch.setattr(calibration, "MILP_NODE_LIMIT", 1)
+        result = calibrate_exact(NOISY_FIVE, opts)
+        assert result.certificate == "heuristic"
+        assert result.violations == count_violations(result.coefficients, NOISY_FIVE, 1e-3).count
 
     def test_infeasible_bounds_rejected(self):
         data = [equilibrium_point(CAL_VAL, 0.5)]
@@ -468,7 +476,7 @@ class TestCalibrateExact:
 
     def test_uniqueness_recorded(self):
         data = noiseless_protocol_dataset()
-        opts = CalibrationOptions(symmetry=True, max_exact_binaries=60)
+        opts = CalibrationOptions(symmetry=True)
         result = calibrate_exact(data, opts)
         assert result.uniqueness == check_uniqueness_condition(result.coefficients)
         assert result.uniqueness == (True, True)

@@ -227,6 +227,18 @@ class TestRanges:
         assert err.startswith("error:") and f"more than {MAX_RANGE_POINTS} points" in err
         assert not out_path.exists()
 
+    def test_last_point_clamped_to_stop(self, capsys, tmp_path, coeffs_file):
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, past STOP.
+        out_path = tmp_path / "x.csv"
+        code, _, _ = run(
+            capsys,
+            ["sweep", "--coeffs", coeffs_file, "--range", "0.09:1.0", "--step", "0.07",
+             "--out", out_path],
+        )
+        assert code == 0
+        last = load_dataset(out_path)[-1]
+        assert (last.demand.q1, last.demand.q2) == (1.0, 0.0)
+
     def test_range_at_the_cap_is_accepted(self):
         values = _range_values(0.0, float(MAX_RANGE_POINTS - 1), 1.0)
         assert len(values) == MAX_RANGE_POINTS
@@ -258,12 +270,13 @@ class TestCalibrate:
         assert "certificate = heuristic" in out
         assert out_path.exists()
 
-    def test_exact_guard_exits_3(self, capsys, sweep_file):
-        code, _, err = run(
+    def test_exact_on_fifteen_points(self, capsys, sweep_file):
+        code, out, _ = run(
             capsys, ["calibrate", "--data", sweep_file, "--symmetry", "--solver", "exact"]
         )
-        assert code == 3
-        assert "heuristic" in err
+        assert code == 0
+        assert "certificate = exact" in out
+        assert "violations = 0" in out
 
     def test_exact_on_small_dataset(self, capsys, tmp_path, coeffs_file):
         path = tmp_path / "small.csv"

@@ -1,5 +1,7 @@
 """Coefficient-file and dataset-CSV parsing and round trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from divergelane import (
     solve_fixed_point,
 )
 
+from divergelane.fileio import DATASET_HEADER
 from divergelane.model import FACTOR_FLOOR
 
 from conftest import CAL_VAL, random_coefficients
@@ -55,6 +58,34 @@ def feasible_datasets(draw):
         total = draw(st.floats(0.0, allow_infinity=False))
         points.append(DataPoint(demand, flow, total))
     return points
+
+
+#: Perturbations of a valid field: slips of 2e-12 break the 1e-12
+#: conservation tolerance and slips of 5e-13 stay inside it.
+_EDITS = st.sampled_from(
+    ["negative", math.nan, math.inf, -math.inf, 2e-12, -2e-12, 5e-13, -5e-13]
+)
+
+
+def _edited(value, edit):
+    if edit == "negative":
+        return -value - 0.25
+    if math.isfinite(edit):
+        return value + edit
+    return edit
+
+
+@st.composite
+def dataset_rows(draw):
+    """One row, ``(q1, q2, xf1, xb1, xf2, xb2, total_demand_vph)``, valid but
+    for up to three perturbed fields (so every check gets its turn)."""
+    q1 = draw(st.floats(0.0, 1.0))
+    q2 = 1.0 - q1
+    xb1, xb2 = draw(st.floats(0.0, q1)), draw(st.floats(0.0, q2))
+    row = [q1, q2, q1 - xb1, xb1, q2 - xb2, xb2, draw(st.floats(0.0, 1e4))]
+    for field, edit in draw(st.dictionaries(st.integers(0, 6), _EDITS, max_size=3)).items():
+        row[field] = _edited(row[field], edit)
+    return tuple(row)
 
 
 GNARLY = CostCoefficients(
@@ -170,6 +201,26 @@ class TestDataset:
         text = "k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph\n1,0.5,0.5,0.4,0.2,0.4,0.1,0\n"
         with pytest.raises(ParseError, match="k=1"):
             parse_dataset(text)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(dataset_rows())
+    def test_validation_boundary_property(self, row):
+        q1, q2, xf1, xb1, xf2, xb2, total = row
+        valid = (
+            all(0.0 <= v < math.inf for v in row)
+            and abs(q1 + q2 - 1.0) <= 1e-12
+            and abs(xf1 + xb1 - q1) <= 1e-12
+            and abs(xf2 + xb2 - q2) <= 1e-12
+        )
+        text = f"{DATASET_HEADER}\n1,{','.join(map(repr, row))}\n"
+        if valid:
+            (point,) = parse_dataset(text)
+            assert point == DataPoint(
+                DemandConfig(q1, q2), FlowDistribution(xf1, xb1, xf2, xb2), total
+            )
+        else:
+            with pytest.raises(ParseError, match="k=1"):
+                parse_dataset(text)
 
     def test_header_only_gives_empty_dataset(self):
         assert parse_dataset("k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph\n") == []
