@@ -25,9 +25,10 @@ Two solvers share that encoding:
   :func:`scipy.optimize.milp`, returning a provably minimal violation count
   when HiGHS closes the search within ``MILP_NODE_LIMIT`` branch-and-bound
   nodes, and its best fit so far otherwise.
-* :func:`calibrate_search` — seeded multi-start randomized search with
-  coordinate refinement, scalable to any size but only a heuristic
-  certificate.
+* :func:`calibrate_search` — a seeded multi-start coordinate pattern search
+  (Hooke & Jeeves) whose restarts run in lockstep, each step scoring every
+  live restart's next trials in one batched objective call; scalable to any
+  size but only a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import ctypes
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -146,7 +148,8 @@ class ViolationCount:
 
     ``flags`` holds one boolean per (point, condition) in the order
     (f1, b1, f2, b2); ``positive_sum`` is the sum of the flagged products,
-    the tie-breaking quantity of the randomized search.
+    the search's tie-breaker, formed as the search forms it: numpy's
+    ``sum`` over all ``4K`` products in that order, the unflagged ones zeroed.
     """
 
     count: int
@@ -185,17 +188,15 @@ def _data_arrays(data: Sequence[DataPoint]) -> _Arrays:
     )
 
 
-def _products(c: CostCoefficients, a: _Arrays) -> np.ndarray:
-    """Condition products, one row per point in the order (f1, b1, f2, b2)."""
-    return np.column_stack(residual_products(c, a.xf1, a.xb1, a.xf2, a.xb2))
-
-
-def _violated(products: np.ndarray, epsilon: float) -> tuple[np.ndarray, int, float]:
-    """Flags of the violated conditions (product above ``epsilon``), their
-    count, and the sum of their products."""
+def _violations(c, a: _Arrays, epsilon: float):
+    """Products of ``c`` (coefficients, or ``(M, 1)`` columns of ``M`` sets) as
+    a C-contiguous ``(M, 4K)`` matrix, point-major (f1, b1, f2, b2), and per
+    row the violation flags, their count and their masked sum."""
+    products = np.concatenate(
+        [x[..., None] for x in residual_products(c, a.xf1, a.xb1, a.xf2, a.xb2)], -1
+    ).reshape(-1, 4 * len(a.xf1))
     flags = products > epsilon
-    count = int(flags.sum())
-    return flags, count, float(products[flags].sum()) if count else 0.0
+    return products, flags, flags.sum(axis=1), np.where(flags, products, 0.0).sum(axis=1)
 
 
 def count_violations(
@@ -205,9 +206,11 @@ def count_violations(
 
     A condition is violated when its product exceeds ``epsilon`` (the margin
     realizes the strict sign test in floating point; a product of exactly
-    zero is always satisfied).  Returns the count together with per-condition
-    flags and products.
+    zero is always satisfied), which must be finite and >= 0.  Returns the
+    count together with per-condition flags and products.
     """
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
     if len(data) == 0:
         raise ValueError("data must be non-empty")
     for k, point in enumerate(data, start=1):
@@ -215,14 +218,17 @@ def count_violations(
             check_feasible(point.demand, point.flow)
         except FeasibilityError as exc:
             raise FeasibilityError(f"data point k={k}: {exc}") from exc
-    products = _products(c, _data_arrays(data))
-    flag_matrix, count, positive_sum = _violated(products, epsilon)
+    products, flags, count, positive_sum = _violations(c, _data_arrays(data), epsilon)
     return ViolationCount(
-        count=count,
-        flags=tuple(tuple(bool(v) for v in row) for row in flag_matrix),
-        products=products,
-        positive_sum=positive_sum,
+        count=int(count[0]),
+        flags=tuple(tuple(bool(v) for v in row) for row in flags.reshape(-1, 4)),
+        products=products.reshape(-1, 4),
+        positive_sum=float(positive_sum[0]),
     )
+
+
+#: ``(M, 1)`` coefficient columns, which the model reads as a CostCoefficients.
+_Columns = namedtuple("_Columns", COEFFICIENT_NAMES)
 
 
 @dataclass(frozen=True)
@@ -473,21 +479,18 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
 # Heuristic solver: multi-start randomized search with coordinate refinement
 
 
-def _objective(
-    theta: np.ndarray, arrays: _Arrays, space: _VariableSpace, epsilon: float
-) -> tuple[int, float, float]:
-    """Lexicographic search objective.
+def _objectives(theta: np.ndarray, arrays: _Arrays, space: _VariableSpace, epsilon: float):
+    """Lexicographic search objective of each row of ``theta``, ``(M, 3)``.
 
     Primary: violation count.  Secondary: summed positive parts of the
     violated products.  Tertiary: deficit of the uniqueness condition, so
     that among otherwise equivalent fits the solver prefers one whose
-    equilibrium predictions are certified unique.
+    equilibrium predictions are certified unique.  No row depends on another.
     """
-    c = space.coefficients(theta)
-    _, count, positive = _violated(_products(c, arrays), epsilon)
-    margins = uniqueness_margins(c)
-    deficit = max(0.0, -min(margins))
-    return (count, positive, deficit)
+    c = _Columns(*(theta[:, j, None] for j in space.tie))
+    _, _, count, positive = _violations(c, arrays, epsilon)
+    deficit = np.maximum(0.0, -np.minimum(*uniqueness_margins(c)))
+    return np.array((count, positive, deficit[:, 0])).T
 
 
 def _least_squares_start(a: _Arrays, space: _VariableSpace) -> np.ndarray | None:
@@ -541,36 +544,6 @@ _STEP_FRACTIONS = (
 )
 
 
-def _refine(
-    theta: np.ndarray, arrays: _Arrays, space: _VariableSpace, epsilon: float
-) -> tuple[tuple[int, float, float], np.ndarray]:
-    """Coordinate pattern search from ``theta`` with a shrinking step."""
-    theta = theta.copy()
-    value = _objective(theta, arrays, space, epsilon)
-    lo, hi = space.lo, space.hi
-    span = hi - lo
-    for fraction in _STEP_FRACTIONS:
-        for _ in range(40):
-            improved = False
-            for dim in range(theta.shape[0]):
-                step = fraction * span[dim]
-                for direction in (1.0, -1.0):
-                    while True:
-                        trial = theta.copy()
-                        trial[dim] = min(max(trial[dim] + direction * step, lo[dim]), hi[dim])
-                        if trial[dim] == theta[dim]:
-                            break
-                        trial_value = _objective(trial, arrays, space, epsilon)
-                        if trial_value < value:
-                            theta, value = trial, trial_value
-                            improved = True
-                        else:
-                            break
-            if not improved:
-                break
-    return value, theta
-
-
 def calibrate_search(
     data: Sequence[DataPoint], opts: CalibrationOptions
 ) -> CalibrationResult:
@@ -580,9 +553,17 @@ def calibrate_search(
     random box samples) through a coordinate pattern search, returning the
     lexicographically best outcome; deterministic for a fixed seed and never
     worse than the best raw start point.
+
+    The restarts run in lockstep, one row each: every step scores, in one
+    :func:`_objectives` call, the trials each row's lone restart would try
+    next whether or not its current move improves (the walk along that move
+    and the later moves of its sweep), and masks move each row where the
+    lone restart would go.  The result is that of the restarts run one by
+    one up to the first, in index order, to reach the zero objective; such a
+    row retires at once with every row above it.  Restarts join in index
+    order, two at first and twice as many per retirement.
     """
-    K = len(data)
-    if K == 0:
+    if len(data) == 0:
         raise ValueError("data must be non-empty")
     space = _variable_space(opts)
     arrays = _data_arrays(data)
@@ -594,10 +575,68 @@ def calibrate_search(
     for _ in range(opts.restarts - 1):
         starts.append(lo + rng.random(lo.shape[0]) * (hi - lo))
 
+    # Move j steps dimension j // 2 up (j even) or down by ``offsets``.
+    moves = np.arange(2 * lo.shape[0])
+    dims, last = moves // 2, len(moves)
+    offsets = np.array(_STEP_FRACTIONS)[:, None] * (hi - lo)[dims] * (1.0 - 2 * (moves % 2))
+    # Each restart's start, then its end; per live row its restart, point, objective
+    # and position (step-fraction index, sweep, move, sweep improved, walk reach).
+    thetas, values = np.array(starts), np.zeros((len(starts), 3))
+    restart, theta, value, position = moves[:0], thetas[:0], values[:0], np.zeros((0, 5), int)
+    admitted, end, capacity = 0, len(starts), 2
+    while admitted < end or len(restart):
+        new = np.arange(admitted, min(end, admitted + capacity - len(restart)))
+        if len(new):
+            restart, theta, value, position = (np.concatenate(pair) for pair in (
+                (restart, new), (theta, thetas[new]),
+                (value, _objectives(thetas[new], arrays, space, opts.epsilon)),
+                (position, np.tile((0, 0, 0, 0, 1), (len(new), 1)))))
+            admitted += len(new)
+        done = (zero := ~value.any(axis=1)) | (position[:, 0] == len(_STEP_FRACTIONS))
+        if done.any():
+            thetas[restart[done]], values[restart[done]] = theta[done], value[done]
+            end = restart[zero].min(initial=end)
+            live = ~done & (restart < end)
+            restart, theta, value, position = (a[live] for a in (restart, theta, value, position))
+            capacity = min(2 * capacity, len(starts))
+            continue
+        fraction, sweep, move, improved, reach = position.T
+        # Slot k < last: walk point k + 1 along the current move (steps summed in order, as
+        # a lone restart takes them), up to ``reach``; slot last + j: later move j from the point.
+        m, dim, step = np.arange(len(theta)), dims[move], offsets[fraction, move]
+        walk = np.column_stack((theta[m, dim], np.repeat(step[:, None], last, axis=1)))
+        coords = np.concatenate((np.cumsum(walk, 1)[:, 1:], theta[:, dims] + offsets[fraction]), 1)
+        at = np.concatenate((np.repeat(dim[:, None], last, 1), dims + 0 * m[:, None]), 1)
+        trials = np.repeat(theta[:, None, :], 2 * last, axis=1)
+        trials[m[:, None], np.arange(2 * last), at] = np.clip(coords, lo[at], hi[at])
+        scored = np.concatenate((moves < reach[:, None], moves > move[:, None]), axis=1)
+        trial_values = np.full(scored.shape + (3,), np.inf)
+        trial_values[scored] = _objectives(trials[scored], arrays, space, opts.epsilon)
+        # A row keeps the walk's prefix of points each better than the last
+        # or, if the first fails, the first later move better than its point.
+        before = np.repeat(value[:, None], 2 * last, axis=1)
+        before[:, 1:last] = trial_values[:, :last - 1]
+        (c, p, d), (c0, p0, d0) = trial_values.transpose(2, 0, 1), before.transpose(2, 0, 1)
+        better = (c < c0) | ((c == c0) & ((p < p0) | ((p == p0) & (d < d0))))
+        walked = np.cumprod(better[:, :last], axis=1).sum(axis=1)
+        jumped = (walked == 0) & better[:, last:].any(axis=1)
+        slot = np.where(jumped, last + better[:, last:].argmax(axis=1), walked - 1)
+        take, full = (walked > 0) | jumped, walked == reach
+        theta[take], value[take] = trials[take, slot[take]], trial_values[take, slot[take]]
+        improved |= take
+        move[:] = np.where(jumped, slot - last, np.where(take, move + ~full, last))
+        reach[:] = np.where(full, np.minimum(2 * reach, last), 1)
+        # A sweep ends after its last move; the step shrinks after 40 sweeps or an idle one.
+        wrapped = move == last
+        shrink = wrapped & ((improved == 0) | (sweep == 39))
+        fraction += shrink
+        sweep[:] = np.where(shrink, 0, sweep + wrapped)
+        move[wrapped], improved[wrapped] = 0, 0
+
+    # Restarts past the first at zero were dropped; the loop stops before them.
     best: tuple[tuple[int, float, float], tuple[float, ...]] | None = None
-    for start in starts:
-        value, theta = _refine(start, arrays, space, opts.epsilon)
-        key = (value, space.coefficients(theta).as_tuple())
+    for theta, (count, positive, deficit) in zip(thetas, values.tolist()):
+        key = ((int(count), positive, deficit), space.coefficients(theta).as_tuple())
         if best is None or key < best:
             best, best_theta = key, theta
         if best[0] == (0, 0.0, 0.0):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from divergelane import (
@@ -14,6 +15,11 @@ from divergelane import (
     solve_fixed_point,
     uniqueness_margins,
 )
+
+# Every property test is derandomized and keeps no example database, so a
+# run is reproducible; tests set only their own ``max_examples``.
+settings.register_profile("divergelane", deadline=None, derandomize=True, database=None)
+settings.load_profile("divergelane")
 
 #: Symmetric calibrated coefficients used as the reference diverge throughout.
 CAL_VAL = CostCoefficients(

@@ -222,7 +222,7 @@ def reference_simulate(g_true, cfg):
 class TestMatchesReference:
     """The simulator's output is bit-identical to the scalar reference loop."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120)
     @given(
         q1=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
         sigma=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),

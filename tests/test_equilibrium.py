@@ -409,7 +409,7 @@ demand_arrays = st.lists(st.floats(0.0, 1.0), max_size=12).map(
 
 
 class TestSolveEquilibria:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(c=st.one_of(coefficients, degenerate_coefficients()), q1=demand_arrays)
     def test_against_fixed_point(self, c, q1):
         xb1, xb2, residual, count = solve_equilibria(c, q1, 1e-12)

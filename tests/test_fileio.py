@@ -140,7 +140,7 @@ class TestCoefficients:
         with pytest.raises(ParseError, match="duplicate"):
             parse_coefficients("cf1 = 1\ncf1 = 2\n")
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(coefficient_files())
     def test_round_trip_property(self, case):
         c, symmetry = case
@@ -172,7 +172,7 @@ class TestDataset:
         points = sample_points()
         assert parse_dataset(format_dataset(points)) == points
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(feasible_datasets())
     def test_round_trip_property(self, points):
         assert parse_dataset(format_dataset(points)) == points
@@ -202,7 +202,7 @@ class TestDataset:
         with pytest.raises(ParseError, match="k=1"):
             parse_dataset(text)
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(dataset_rows())
     def test_validation_boundary_property(self, row):
         q1, q2, xf1, xb1, xf2, xb2, total = row

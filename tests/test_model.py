@@ -201,7 +201,7 @@ class TestInvariants:
                 np.stack((f2, b2, f1, b1)),
             )
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(c=coefficients, data=st.lists(data_points(), min_size=1, max_size=15))
     def test_calibrator_products_match_verifier_residuals(self, c, data):
         # The calibrator's condition products (array path) are the verifier's
@@ -210,6 +210,30 @@ class TestInvariants:
         for row, point in zip(products, data):
             residuals = wardrop_residuals(DivergeInstance(point.demand, c), point.flow)
             assert [float(v).hex() for v in row] == [v.hex() for v in residuals.as_tuple()]
+
+    @settings(max_examples=300)
+    @given(
+        c=coefficients,
+        shares=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        k=st.integers(0, 3),
+        other=st.floats(0.0, 1.0),
+    )
+    def test_lane_costs_are_monotone_and_mirror(self, c, shares, k, other):
+        costs = lane_costs(c, *shares)
+        # Raising (or lowering) one share never lowers (or raises) a cost.
+        moved = list(shares)
+        moved[k] = other
+        for before, after in zip(costs, lane_costs(c, *moved)):
+            assert (after >= before) if other >= shares[k] else (after <= before)
+        # A feed-through cost reads only its own share.
+        for feed in (0, 2):
+            if k != feed:
+                assert lane_costs(c, *moved)[feed] == costs[feed]
+        # The symmetric diverge mirrors: swapping the links swaps the costs.
+        sym = CostCoefficients(c.cf1, c.cf1, c.cb, c.lambda1, c.lambda1, c.mu1, c.mu1, c.nu)
+        xf1, xb1, xf2, xb2 = shares
+        f1, b1, f2, b2 = lane_costs(sym, xf1, xb1, xf2, xb2)
+        assert lane_costs(sym, xf2, xb2, xf1, xb1) == (f2, b2, f1, b1)
 
     def test_residual_antisymmetry(self):
         rng = np.random.default_rng(13)
