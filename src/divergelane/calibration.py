@@ -12,11 +12,12 @@ when its product exceeds the margin ``epsilon`` (:func:`count_violations`).
 A symmetric diverge is not a second model but the same eight coefficients
 with some tied together (``cf1 = cf2 = cb``, ``lambda1 = lambda2``,
 ``mu1 = mu2``).  Symmetry is therefore data: a map ``tie`` from each
-coefficient to its free parameter, the identity or
-``(0, 0, 0, 1, 1, 2, 2, 3)``.  Every rule of the encoding (bounds,
-condition rows, coefficient recovery, the search) is written once and reads
-that map; a tied parameter is bounded by the intersection of its
-coefficients' bounds.
+coefficient to its free parameter, the identity or the model's
+:data:`~divergelane.model.SYMMETRIC_TIE`.  Every rule of the encoding
+(bounds, condition rows, coefficient recovery, the search) is written once
+and reads that map; a tied parameter is bounded by the intersection of its
+coefficients' bounds.  Names, kinds and tie come from the model, and a
+bound box is valid when both its corners are valid ``CostCoefficients``.
 
 Two solvers share that encoding:
 
@@ -48,20 +49,19 @@ if TYPE_CHECKING:
     from scipy.optimize import Bounds, LinearConstraint
 
 from .model import (
+    COEFFICIENT_NAMES,
     FACTOR_FLOOR,
+    FACTOR_NAMES,
+    RATE_NAMES,
+    SYMMETRIC_TIE,
     CostCoefficients,
-    DemandConfig,
+    DataPoint,
     FeasibilityError,
-    FlowDistribution,
     check_feasible,
     check_uniqueness_condition,
     residual_products,
     uniqueness_margins,
 )
-
-COEFFICIENT_NAMES = ("cf1", "cf2", "cb", "lambda1", "lambda2", "mu1", "mu2", "nu")
-RATE_NAMES = ("cf1", "cf2", "cb", "nu")
-FACTOR_NAMES = ("lambda1", "lambda2", "mu1", "mu2")
 
 DEFAULT_LOWER_BOUNDS: dict[str, float] = {
     **{name: 1.0 for name in RATE_NAMES},
@@ -76,10 +76,10 @@ DEFAULT_UPPER_BOUNDS: dict[str, float] = {
 #: parameters' linearized names, without and with symmetry.
 _TIES = {
     False: (
-        (0, 1, 2, 3, 4, 5, 6, 7),
-        ("cf1", "cf2", "cb", "cb_lambda1", "cb_lambda2", "cb_mu1", "cb_mu2", "nu"),
+        tuple(range(len(COEFFICIENT_NAMES))),
+        tuple(f"cb_{name}" if name in FACTOR_NAMES else name for name in COEFFICIENT_NAMES),
     ),
-    True: ((0, 0, 0, 1, 1, 2, 2, 3), ("cf", "cb_lambda", "cb_mu", "nu")),
+    True: (SYMMETRIC_TIE, ("cf", "cb_lambda", "cb_mu", "nu")),
 }
 _CB = COEFFICIENT_NAMES.index("cb")
 
@@ -94,23 +94,6 @@ class ConfigurationError(ValueError):
 
 
 @dataclass(frozen=True)
-class DataPoint:
-    """One calibration tuple: demand split, observed flow split, and the
-    total demand in vehicles per hour (bookkeeping only)."""
-
-    demand: DemandConfig
-    flow: FlowDistribution
-    total_demand_vph: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_feasible(self.demand, self.flow)
-        if not 0 <= self.total_demand_vph < math.inf:
-            raise ValueError(
-                f"total_demand_vph must be finite and >= 0, got {self.total_demand_vph!r}"
-            )
-
-
-@dataclass(frozen=True)
 class CalibrationOptions:
     """Knobs shared by both calibration solvers.
 
@@ -118,7 +101,9 @@ class CalibrationOptions:
     when its product exceeds it.  Scale it to the data's noise floor: 1e-6
     suits solver-generated data, while simulator output typically needs 1e-3
     to 1e-2.  ``lower_bounds``/``upper_bounds`` override the default
-    coefficient box (rates in [1, 10], factors in (0, 1]).  ``restarts``
+    coefficient box (rates in [1, 10], factors in ``[FACTOR_FLOOR, 1]``);
+    both corners of the box must be admissible coefficients, as
+    :class:`~divergelane.model.CostCoefficients` checks them.  ``restarts``
     and ``seed`` drive :func:`calibrate_search` only; the exact solver's
     effort is bounded by the module constant ``MILP_NODE_LIMIT``.
     """
@@ -270,12 +255,11 @@ def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
         lb, ub = lower[name], upper[name]
         if lb > ub:
             raise ConfigurationError(f"lower bound {lb!r} exceeds upper bound {ub!r} for {name}")
-        if name in FACTOR_NAMES and not (0 < lb and ub <= 1.0):
-            raise ConfigurationError(
-                f"{name} bounds must lie within (0, 1], got [{lb!r}, {ub!r}]"
-            )
-        if name in RATE_NAMES and not lb > 0:
-            raise ConfigurationError(f"{name} lower bound must be > 0, got {lb!r}")
+    for corner, bounds in (("lower", lower), ("upper", upper)):
+        try:
+            CostCoefficients(**bounds)
+        except ValueError as exc:
+            raise ConfigurationError(f"{corner} bound: {exc}") from None
     tie, names = _TIES[opts.symmetry]
     lo, hi = [], []
     for j in range(len(names)):
@@ -350,6 +334,21 @@ def _recover_coefficients(z: np.ndarray, space: _VariableSpace) -> CostCoefficie
     f = space.factor
     theta[f] = np.clip(z[f] / theta[space.rate], space.lo[f], space.hi[f])
     return space.coefficients(theta)
+
+
+def _result(
+    c: CostCoefficients, data: Sequence[DataPoint], epsilon: float, bound: int | None = None
+) -> CalibrationResult:
+    """The result of fit ``c``: its recount on ``data``, certified ``exact``
+    only when that equals ``bound``, a proven lower bound on the count."""
+    report = count_violations(c, data, epsilon)
+    return CalibrationResult(
+        coefficients=c,
+        violations=report.count,
+        indicator_assignment=report.flags,
+        certificate="exact" if report.count == bound else "heuristic",
+        uniqueness=check_uniqueness_condition(c),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +463,7 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
     if result.x is None:
         raise ConfigurationError(f"the calibration MILP has no solution: {result.message}")
     coefficients = _recover_coefficients(result.x[: len(space.names)], space)
-    report = count_violations(coefficients, data, opts.epsilon)
-    lower_bound = math.ceil(result.mip_dual_bound - 1e-6)
-    return CalibrationResult(
-        coefficients=coefficients,
-        violations=report.count,
-        indicator_assignment=report.flags,
-        certificate="exact" if report.count == lower_bound else "heuristic",
-        uniqueness=check_uniqueness_condition(coefficients),
-    )
+    return _result(coefficients, data, opts.epsilon, math.ceil(result.mip_dual_bound - 1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +633,4 @@ def calibrate_search(
         if best[0] == (0, 0.0, 0.0):
             break
 
-    coefficients = space.coefficients(best_theta)
-    report = count_violations(coefficients, data, opts.epsilon)
-    return CalibrationResult(
-        coefficients=coefficients,
-        violations=report.count,
-        indicator_assignment=report.flags,
-        certificate="heuristic",
-        uniqueness=check_uniqueness_condition(coefficients),
-    )
+    return _result(space.coefficients(best_theta), data, opts.epsilon)

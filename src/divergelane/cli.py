@@ -13,12 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import (
-    CalibrationOptions,
-    DataPoint,
-    calibrate_exact,
-    calibrate_search,
-)
+from .calibration import CalibrationOptions, calibrate_exact, calibrate_search
 from .datagen import SimulationConfig, generate_dataset
 from .equilibrium import SolverOptions, solve_equilibria
 from .fileio import (
@@ -29,12 +24,7 @@ from .fileio import (
     write_coefficients,
     write_dataset,
 )
-from .model import (
-    DemandConfig,
-    FlowDistribution,
-    max_residual,
-    uniqueness_margins,
-)
+from .model import DataPoint, DemandConfig, FlowDistribution, max_residual, uniqueness_margins
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -75,18 +65,12 @@ def _range_values(start: float, stop: float, step: float) -> list[float]:
     return [min(start + i * step, stop) for i in range(int(math.floor(last)) + 1)]
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_fields(text: str, form: str) -> list[float]:
+    """The numbers of a colon-separated ``text`` laid out as ``form``."""
     parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"expected START:STOP, got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_sweep(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected START:STOP:STEP, got {text!r}")
-    return float(parts[0]), float(parts[1]), float(parts[2])
+    if len(parts) != len(form.split(":")):
+        raise ValueError(f"expected {form}, got {text!r}")
+    return [float(part) for part in parts]
 
 
 def _solve_demands(
@@ -117,7 +101,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     coeffs = load_coefficients(args.coeffs)
-    start, stop = _parse_range(args.range)
+    start, stop = _parse_fields(args.range, "START:STOP")
     demands = [DemandConfig(q1, 1.0 - q1) for q1 in _range_values(start, stop, args.step)]
     tol = SolverOptions().convergence_tol
     flows, residuals = _solve_demands(coeffs, demands, tol)
@@ -131,7 +115,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     coeffs = load_coefficients(args.coeffs)
-    start, stop, step = _parse_sweep(args.sweep)
+    start, stop, step = _parse_fields(args.sweep, "START:STOP:STEP")
     demands = tuple(_range_values(start, stop, step))
     cfg = SimulationConfig(
         n_vehicles=args.n,

@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import DataPoint
 from .model import (
     CostCoefficients,
+    DataPoint,
     DemandConfig,
     DivergeInstance,
     FlowDistribution,

@@ -40,6 +40,9 @@ from .model import (
 #: Candidates closer than this in both shares count as one equilibrium.
 DISTINCT_TOL = 1e-9
 
+#: Weight of the best response in each step of :func:`solve_fixed_point`.
+DAMPING = 0.5
+
 
 class BoundaryBranchError(ValueError):
     """The best response is pinned at a boundary, so the interior slope
@@ -66,7 +69,6 @@ class AuxiliaryAction:
 class SolverOptions:
     max_iterations: int = 10_000
     convergence_tol: float = 1e-12
-    damping: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -75,8 +77,6 @@ class SolverOptions:
             raise ValueError(
                 f"convergence_tol must be finite and > 0, got {self.convergence_tol!r}"
             )
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping!r}")
 
 
 @dataclass(frozen=True)
@@ -269,18 +269,18 @@ def solve_fixed_point(
     """Find the equilibrium by damped alternating best responses.
 
     Starting from half the demand shares (or the optional warm start),
-    each sweep updates ``y_i <- (1 - damping) * y_i + damping * B_i(y_j)``
-    in Gauss-Seidel order.  The iteration stops once the sweep update is
-    below ``convergence_tol`` *and* the resulting split certifies as an
-    equilibrium at that tolerance; running out of iterations returns a
-    report with ``converged=False`` and the final residuals rather than a
-    silent wrong answer.
+    each sweep updates ``y_i <- (1 - DAMPING) * y_i + DAMPING * B_i(y_j)``
+    in Gauss-Seidel order; the damping is fixed at ``DAMPING`` = 1/2.  The
+    iteration stops once the sweep update is below ``convergence_tol``
+    *and* the resulting split certifies as an equilibrium at that
+    tolerance; running out of iterations returns a report with
+    ``converged=False`` and the final residuals rather than a silent wrong
+    answer.
     """
     if opts is None:
         opts = SolverOptions()
     c = g.costs
     q1, q2 = g.demand.q1, g.demand.q2
-    d = opts.damping
     tol = opts.convergence_tol
     if initial is None:
         y1, y2 = q1 / 2.0, q2 / 2.0
@@ -290,8 +290,8 @@ def solve_fixed_point(
             raise ValueError(f"initial actions {initial!r} outside [0, q_i]")
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
-        y1_new = (1.0 - d) * y1 + d * best_response(c, q1, y2, 1)
-        y2_new = (1.0 - d) * y2 + d * best_response(c, q2, y1_new, 2)
+        y1_new = (1.0 - DAMPING) * y1 + DAMPING * best_response(c, q1, y2, 1)
+        y2_new = (1.0 - DAMPING) * y2 + DAMPING * best_response(c, q2, y1_new, 2)
         delta = max(abs(y1_new - y1), abs(y2_new - y2))
         y1, y2 = y1_new, y2_new
         if delta <= tol:

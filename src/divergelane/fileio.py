@@ -2,10 +2,11 @@
 
 Coefficient files are ``key = value`` lines (``#`` comments and blank lines
 allowed) for the eight coefficients, plus an optional ``symmetry = true``
-flag that fills in or checks the mirrored entries.  Datasets are plain CSV
-with the fixed header ``k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph``.  Values
-are serialized as ``repr(float(x))`` (numpy scalars included) so
-parse(serialize(x)) == x exactly.
+flag that fills in or checks the mirrored entries; no key may repeat.
+Datasets are plain CSV with the fixed header
+``k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph``.  Values are serialized as
+``repr(float(x))`` (numpy scalars included) so parse(serialize(x)) == x
+exactly.  Keys, mirrors, row type and validation are the model's schema.
 """
 
 from __future__ import annotations
@@ -13,15 +14,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .calibration import DataPoint
-from .model import CostCoefficients, DemandConfig, FlowDistribution
+from .model import (
+    COEFFICIENT_NAMES,
+    SYMMETRIC_TIE,
+    CostCoefficients,
+    DataPoint,
+    DemandConfig,
+    FlowDistribution,
+)
 
-COEFFICIENT_KEYS = ("cf1", "cf2", "cb", "lambda1", "lambda2", "mu1", "mu2", "nu")
 DATASET_HEADER = "k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph"
-
-#: With ``symmetry = true`` these keys may be omitted and are copied from
-#: their source key; if present they must match it.
-_SYMMETRY_MIRRORS = {"cf2": "cf1", "cb": "cf1", "lambda2": "lambda1", "mu2": "mu1"}
 
 
 class ParseError(ValueError):
@@ -38,7 +40,7 @@ def parse_coefficients(text: str) -> CostCoefficients:
     """Parse a coefficients document, applying the symmetry flag if set."""
     values: dict[str, float] = {}
     value_lines: dict[str, int] = {}
-    symmetry = False
+    symmetry: bool | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -49,11 +51,13 @@ def parse_coefficients(text: str) -> CostCoefficients:
         key = key.strip()
         value_text = value_text.strip()
         if key == "symmetry":
+            if symmetry is not None:
+                raise ParseError(f"duplicate key {key!r}", lineno)
             if value_text.lower() not in ("true", "false"):
                 raise ParseError(f"symmetry must be true or false, got {value_text!r}", lineno)
             symmetry = value_text.lower() == "true"
             continue
-        if key not in COEFFICIENT_KEYS:
+        if key not in COEFFICIENT_NAMES:
             raise ParseError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ParseError(f"duplicate key {key!r}", lineno)
@@ -63,8 +67,11 @@ def parse_coefficients(text: str) -> CostCoefficients:
             raise ParseError(f"invalid number {value_text!r} for {key!r}", lineno) from None
         value_lines[key] = lineno
     if symmetry:
-        for key, source in _SYMMETRY_MIRRORS.items():
-            if source not in values:
+        # Without a key, a mirrored coefficient copies the first coefficient
+        # tied to it; with one, it must match that coefficient.
+        for key, tie in zip(COEFFICIENT_NAMES, SYMMETRIC_TIE):
+            source = COEFFICIENT_NAMES[SYMMETRIC_TIE.index(tie)]
+            if source == key or source not in values:
                 continue
             if key in values:
                 if values[key] != values[source]:
@@ -74,7 +81,7 @@ def parse_coefficients(text: str) -> CostCoefficients:
                     )
             else:
                 values[key] = values[source]
-    missing = [key for key in COEFFICIENT_KEYS if key not in values]
+    missing = [key for key in COEFFICIENT_NAMES if key not in values]
     if missing:
         raise ParseError(f"missing key {missing[0]!r}")
     try:
@@ -88,7 +95,7 @@ def load_coefficients(path: str | Path) -> CostCoefficients:
 
 
 def format_coefficients(c: CostCoefficients, symmetry: bool = False) -> str:
-    lines = [f"{key} = {float(getattr(c, key))!r}" for key in COEFFICIENT_KEYS]
+    lines = [f"{key} = {float(getattr(c, key))!r}" for key in COEFFICIENT_NAMES]
     if symmetry:
         lines.append("symmetry = true")
     return "\n".join(lines) + "\n"

@@ -12,8 +12,10 @@ expresses through four signed residual products (one per lane class).
 :func:`lane_costs` is the one statement of the cost model.  It, and the
 :func:`cost_gaps` and :func:`residual_products` derived from it, take the
 four shares as floats or as numpy arrays of one shape, so the solvers, the
-calibrator and the simulator all evaluate the same arithmetic.  The types
-are small frozen dataclasses and every function here is pure.
+calibrator and the simulator all evaluate the same arithmetic.  The module
+is also the one statement of the data schema that the others read: the
+coefficient names, kinds, admissible ranges and symmetric tie, and the
+dataset row :class:`DataPoint`.  Every function here is pure.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ EQUILIBRIUM_TOL = 1e-9
 FACTOR_FLOOR = 1e-9
 
 LINKS = (1, 2)
+
+#: The eight cost coefficients in field order: the rates, finite and
+#: strictly positive, and the capacity factors, in ``[FACTOR_FLOOR, 1]``.
+COEFFICIENT_NAMES = ("cf1", "cf2", "cb", "lambda1", "lambda2", "mu1", "mu2", "nu")
+RATE_NAMES = ("cf1", "cf2", "cb", "nu")
+FACTOR_NAMES = ("lambda1", "lambda2", "mu1", "mu2")
+
+#: A symmetric diverge's tie: the free parameter of each coefficient
+#: (``COEFFICIENT_NAMES`` order), so that ``cf1 = cf2 = cb``,
+#: ``lambda1 = lambda2`` and ``mu1 = mu2``.
+SYMMETRIC_TIE = (0, 0, 0, 1, 1, 2, 2, 3)
 
 
 class FeasibilityError(ValueError):
@@ -72,8 +85,8 @@ class CostCoefficients:
     ``cf1``/``cf2`` are the feed-through cost rates of the two exit links and
     ``cb`` the rate of the shared bifurcating lane.  ``lambda1``/``lambda2``
     scale the same-destination bifurcating load and ``mu1``/``mu2`` the
-    cross-destination load (both in ``(0, 1]``: values below 1 model the
-    capacity increase at the split).  ``nu`` penalizes destination
+    cross-destination load (both in ``[FACTOR_FLOOR, 1]``: values below 1
+    model the capacity increase at the split).  ``nu`` penalizes destination
     heterogeneity through the product of the two bifurcating shares.
     """
 
@@ -87,11 +100,11 @@ class CostCoefficients:
     nu: float
 
     def __post_init__(self) -> None:
-        for name in ("cf1", "cf2", "cb", "nu"):
+        for name in RATE_NAMES:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-        for name in ("lambda1", "lambda2", "mu1", "mu2"):
+        for name in FACTOR_NAMES:
             value = getattr(self, name)
             if not FACTOR_FLOOR <= value <= 1.0:
                 raise ValueError(
@@ -111,16 +124,7 @@ class CostCoefficients:
         return self.mu1 if link == 1 else self.mu2
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.cf1,
-            self.cf2,
-            self.cb,
-            self.lambda1,
-            self.lambda2,
-            self.mu1,
-            self.mu2,
-            self.nu,
-        )
+        return tuple(getattr(self, name) for name in COEFFICIENT_NAMES)
 
 
 @dataclass(frozen=True)
@@ -194,18 +198,33 @@ class WardropResiduals:
 
 
 def check_feasible(demand: DemandConfig, flow: FlowDistribution, tol: float = ABS_TOL) -> None:
-    """Raise :class:`FeasibilityError` naming the first violated constraint."""
-    for link in LINKS:
-        xf = flow.feed_share(link)
-        xb = flow.bifurcating_share(link)
-        if xf < -tol:
-            raise FeasibilityError(f"xf{link} = {xf!r} violates xf{link} >= 0")
-        if xb < -tol:
-            raise FeasibilityError(f"xb{link} = {xb!r} violates xb{link} >= 0")
-        q = demand.share(link)
+    """Raise :class:`FeasibilityError` if a link's two shares do not sum to
+    its demand share.  The shares themselves are non-negative:
+    :class:`FlowDistribution` admits no other."""
+    for link, xf, xb, q in (
+        (1, flow.xf1, flow.xb1, demand.q1),
+        (2, flow.xf2, flow.xb2, demand.q2),
+    ):
         if abs(xf + xb - q) > tol:
             raise FeasibilityError(
                 f"xf{link} + xb{link} = {xf + xb!r} violates conservation with q{link} = {q!r}"
+            )
+
+
+@dataclass(frozen=True)
+class DataPoint:
+    """One dataset row: demand split, observed flow split, and the total
+    demand in vehicles per hour (bookkeeping only)."""
+
+    demand: DemandConfig
+    flow: FlowDistribution
+    total_demand_vph: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_feasible(self.demand, self.flow)
+        if not 0 <= self.total_demand_vph < math.inf:
+            raise ValueError(
+                f"total_demand_vph must be finite and >= 0, got {self.total_demand_vph!r}"
             )
 
 

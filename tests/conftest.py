@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -94,3 +96,46 @@ def noiseless_protocol_dataset(
         assert report.converged
         points.append(DataPoint(demand=demand, flow=report.flow, total_demand_vph=total_vph))
     return points
+
+
+#: Coefficient names in field order, and the capacity factors among them,
+#: spelled out so the validation tests do not read the schema they check.
+COEFFICIENT_ORDER = ("cf1", "cf2", "cb", "lambda1", "lambda2", "mu1", "mu2", "nu")
+_FACTORS = frozenset(("lambda1", "lambda2", "mu1", "mu2"))
+
+
+def admissible(name: str, value: float) -> bool:
+    """Whether ``value`` is a valid coefficient ``name``: a capacity factor
+    in [1e-9, 1], any other coefficient finite and strictly positive."""
+    if name in _FACTORS:
+        return 1e-9 <= value <= 1.0
+    return 0.0 < value < math.inf
+
+
+def admissible_values(name: str) -> st.SearchStrategy[float]:
+    return st.floats(1e-9, 1.0) if name in _FACTORS else st.floats(1e-3, 1e3)
+
+
+#: Values at and past the validation boundary of either kind: NaN, +/-inf,
+#: zeros, negatives, the smallest subnormal, factors at and just below the
+#: 1e-9 floor, and factors at and above 1 -- or any float at all.
+edge_values = st.one_of(
+    st.sampled_from(
+        (
+            math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324,
+            5e-10, math.nextafter(1e-9, 0.0), 1e-9,
+            1.0, math.nextafter(1.0, 2.0), 1.5,
+        )
+    ),
+    st.floats(),
+)
+
+
+@st.composite
+def boundary_tuples(draw) -> tuple[float, ...]:
+    """Eight admissible coefficients with up to two entries replaced by an
+    edge value (which may itself be admissible)."""
+    values = [draw(admissible_values(name)) for name in COEFFICIENT_ORDER]
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, 7))] = draw(edge_values)
+    return tuple(values)

@@ -1,7 +1,10 @@
 """Violation counting, the indicator system, and both calibration solvers."""
 
+import contextlib
 import itertools
+import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +49,11 @@ from divergelane.calibration import (
 
 from conftest import (
     CAL_VAL,
+    COEFFICIENT_ORDER,
     NOISY_FIVE_CSV,
+    admissible,
+    admissible_values,
+    edge_values,
     noiseless_protocol_dataset,
     random_coefficients,
 )
@@ -438,6 +445,84 @@ class TestSymmetryTie:
             "cb_mu": linear["cb_mu1"],
             "nu": linear["nu"],
         }
+
+
+@st.composite
+def boundary_boxes(draw):
+    """``(lower, upper)`` bounds of every coefficient: an ordered admissible
+    box with up to three changes, each an edge value in either corner or a
+    coefficient's two bounds swapped."""
+    lower, upper = {}, {}
+    for name in COEFFICIENT_ORDER:
+        a, b = sorted((draw(admissible_values(name)), draw(admissible_values(name))))
+        lower[name], upper[name] = a, b
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(COEFFICIENT_ORDER))
+        change = draw(st.sampled_from(("lower", "upper", "swap")))
+        if change == "swap":
+            lower[name], upper[name] = upper[name], lower[name]
+        else:
+            (lower if change == "lower" else upper)[name] = draw(edge_values)
+    return lower, upper
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a solver ran on bounds that should have been rejected")
+
+
+@contextlib.contextmanager
+def solvers_disabled():
+    """Fail the test if either solver starts solving."""
+    with mock.patch.object(calibration, "_objectives", _unreachable):
+        with mock.patch("scipy.optimize.milp", _unreachable):
+            yield
+
+
+#: Bound boxes with an inadmissible corner that older bound checks let through
+#: to the solvers, which then crashed or failed inside HiGHS.
+INADMISSIBLE_BOXES = {
+    "factor-below-floor": ("lambda1", {"lower_bounds": {"lambda1": 1e-12}}),
+    "nan-rate-bound": ("nu", {"upper_bounds": {"nu": math.nan}}),
+    "infinite-rate-bound": ("nu", {"upper_bounds": {"nu": math.inf}}),
+}
+
+ONE_POINT = [DataPoint(DemandConfig(0.5, 0.5), FlowDistribution(0.25, 0.25, 0.25, 0.25))]
+
+
+class TestBoundBox:
+    """A bound box is valid exactly when it is ordered and both corners are
+    admissible coefficients, and an invalid one stops before any solve."""
+
+    @settings(max_examples=400)
+    @given(box=boundary_boxes())
+    def test_box_rejected_exactly_when_a_corner_is_inadmissible(self, box):
+        lower, upper = box
+        valid = all(
+            admissible(name, lower[name])
+            and admissible(name, upper[name])
+            and lower[name] <= upper[name]
+            for name in COEFFICIENT_ORDER
+        )
+        opts = CalibrationOptions(lower_bounds=lower, upper_bounds=upper)
+        if valid:
+            space = _variable_space(opts)
+            assert space.lo.tolist() == [lower[name] for name in COEFFICIENT_ORDER]
+            assert space.hi.tolist() == [upper[name] for name in COEFFICIENT_ORDER]
+            return
+        with pytest.raises(ConfigurationError):
+            _variable_space(opts)
+        with solvers_disabled():
+            for solver in (calibrate_exact, calibrate_search):
+                with pytest.raises(ConfigurationError):
+                    solver(ONE_POINT, opts)
+
+    @pytest.mark.parametrize("solver", [calibrate_exact, calibrate_search])
+    @pytest.mark.parametrize(
+        "name, bounds", INADMISSIBLE_BOXES.values(), ids=list(INADMISSIBLE_BOXES)
+    )
+    def test_inadmissible_box_rejected_before_solving(self, solver, name, bounds):
+        with solvers_disabled(), pytest.raises(ConfigurationError, match=name):
+            solver(ONE_POINT, CalibrationOptions(**bounds))
 
 
 class TestCalibrateExact:

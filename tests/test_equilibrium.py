@@ -71,8 +71,6 @@ class TestSolverOptions:
             SolverOptions(max_iterations=0)
         with pytest.raises(ValueError, match="convergence_tol"):
             SolverOptions(convergence_tol=0.0)
-        with pytest.raises(ValueError, match="damping"):
-            SolverOptions(damping=1.5)
 
     def test_auxiliary_action_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -140,6 +140,14 @@ class TestCoefficients:
         with pytest.raises(ParseError, match="duplicate"):
             parse_coefficients("cf1 = 1\ncf1 = 2\n")
 
+    @pytest.mark.parametrize("second", ["true", "false"])
+    def test_duplicate_symmetry_rejected(self, second):
+        # A second symmetry line used to override the first silently.
+        text = "cf1 = 1.45\nlambda1 = 0.87\nmu1 = 0.69\nnu = 1.0\nsymmetry = true\n"
+        text += f"symmetry = {second}\n"
+        with pytest.raises(ParseError, match="^line 6: duplicate key 'symmetry'$"):
+            parse_coefficients(text)
+
     @settings(max_examples=300)
     @given(coefficient_files())
     def test_round_trip_property(self, case):

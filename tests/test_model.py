@@ -1,5 +1,7 @@
 """Cost functions, residuals, and the uniqueness condition."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,16 @@ from divergelane import (
     wardrop_residuals,
 )
 
-from conftest import CAL_VAL, coefficients, random_coefficients
+from divergelane.model import COEFFICIENT_NAMES, FACTOR_NAMES, RATE_NAMES
+
+from conftest import (
+    CAL_VAL,
+    COEFFICIENT_ORDER,
+    admissible,
+    boundary_tuples,
+    coefficients,
+    random_coefficients,
+)
 
 
 def flow(xf1, xb1, xf2, xb2):
@@ -278,3 +289,21 @@ class TestTypeValidation:
     def test_flow_non_negative(self):
         with pytest.raises(ValueError, match="xb1"):
             FlowDistribution(0.5, -0.1, 0.5, 0.1)
+
+
+class TestValidationBoundary:
+    def test_schema_names_the_fields(self):
+        assert tuple(f.name for f in fields(CostCoefficients)) == COEFFICIENT_NAMES
+        assert COEFFICIENT_NAMES == COEFFICIENT_ORDER
+        assert sorted(RATE_NAMES + FACTOR_NAMES) == sorted(COEFFICIENT_NAMES)
+        assert set(FACTOR_NAMES) == {"lambda1", "lambda2", "mu1", "mu2"}
+
+    @settings(max_examples=500)
+    @given(values=boundary_tuples())
+    def test_coefficients_accept_exactly_the_admissible(self, values):
+        bad = [name for name, v in zip(COEFFICIENT_ORDER, values) if not admissible(name, v)]
+        if bad:
+            with pytest.raises(ValueError, match="|".join(bad)):
+                CostCoefficients(*values)
+        else:
+            assert CostCoefficients(*values).as_tuple() == values
