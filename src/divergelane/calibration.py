@@ -120,6 +120,8 @@ class CalibrationOptions:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for mapping in (self.lower_bounds, self.upper_bounds):
             if mapping is not None:
                 unknown = set(mapping) - set(COEFFICIENT_NAMES)

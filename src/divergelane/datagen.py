@@ -22,11 +22,20 @@ from the model's :func:`~divergelane.model.lane_costs` at the shares of the
 two integer bifurcating counts and are memoized per visited count pair, so
 the remaining scalar scan does two additions and one comparison per driver
 and one table lookup per switch.
+
+:func:`generate_dataset` runs the sweep's points in a process pool sized
+``min(points, usable CPUs)``.  Each point still draws from its own generator
+seeded ``seed + k``, so the output does not depend on the worker count or
+the start method.  Where the platform's default start method is spawn or
+forkserver (macOS; Linux from Python 3.14), workers re-import the calling
+script, so a script that calls it must do so under
+``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +74,8 @@ class SimulationConfig:
             raise ValueError(f"n_vehicles must be >= 1, got {self.n_vehicles}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma!r}")
         if not 0 < self.total_demand_vph < math.inf:
@@ -159,13 +170,35 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
     return DataPoint(demand=demand, flow=flow, total_demand_vph=cfg.total_demand_vph)
 
 
+def _simulate_point(
+    c_true: CostCoefficients, cfg: SimulationConfig, k: int, d1: float
+) -> DataPoint:
+    """Sweep point ``k``: exit-1 demand ``d1``, simulated with seed ``seed + k``."""
+    q1 = d1 / cfg.total_demand_vph
+    instance = DivergeInstance(DemandConfig(q1, 1.0 - q1), c_true)
+    return simulate_steady_state(instance, replace(cfg, seed=cfg.seed + k))
+
+
 def generate_dataset(c_true: CostCoefficients, cfg: SimulationConfig) -> list[DataPoint]:
-    """One simulated data point per sweep entry, seeded as ``seed + k``."""
-    if not cfg.demand_sweep:
+    """One simulated data point per sweep entry, seeded as ``seed + k``.
+
+    The points run in a process pool of ``min(points, usable CPUs)``
+    workers and come back in sweep order.  A point's result depends only on
+    its own seed, so the output does not depend on the worker count or the
+    start method.  Where that method is spawn or forkserver (macOS; Linux
+    from Python 3.14), call this under ``if __name__ == "__main__":``.
+    """
+    # Imported here, not at module top: the pool machinery would add to
+    # every CLI start, and only ``generate`` needs it.
+    import concurrent.futures
+
+    sweep = cfg.demand_sweep
+    if not sweep:
         raise ValueError("demand_sweep must be non-empty")
-    points = []
-    for k, d1 in enumerate(cfg.demand_sweep):
-        q1 = d1 / cfg.total_demand_vph
-        instance = DivergeInstance(DemandConfig(q1, 1.0 - q1), c_true)
-        points.append(simulate_steady_state(instance, replace(cfg, seed=cfg.seed + k)))
-    return points
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    n = len(sweep)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
+        return list(pool.map(_simulate_point, [c_true] * n, [cfg] * n, range(n), sweep))

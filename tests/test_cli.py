@@ -185,6 +185,14 @@ class TestGenerate:
         )
         assert code == 1
 
+    def test_negative_seed_exits_1(self, capsys, tmp_path, coeffs_file):
+        code, _, err = run(
+            capsys,
+            ["generate", "--coeffs", coeffs_file, "--seed", "-1", "--out", tmp_path / "x.csv"],
+        )
+        assert code == 1
+        assert "seed" in err
+
 
 class TestRanges:
     """``sweep --range/--step`` and ``generate --sweep`` expand to at most
@@ -292,6 +300,11 @@ class TestCalibrate:
         assert code == 0
         assert "violations = 0" in out
         assert "certificate = exact" in out
+
+    def test_negative_seed_exits_1(self, capsys, sweep_file):
+        code, _, err = run(capsys, ["calibrate", "--data", sweep_file, "--seed", "-1"])
+        assert code == 1
+        assert "seed" in err
 
     def test_empty_dataset_exits_1(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,12 +1,18 @@
 """Discrete-driver steady-state simulator."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divergelane
 from divergelane import (
     CostCoefficients,
     DataPoint,
@@ -121,6 +127,44 @@ class TestGenerateDataset:
         cfg = SimulationConfig(n_vehicles=400, demand_sweep=())
         with pytest.raises(ValueError, match="non-empty"):
             generate_dataset(CAL_VAL, cfg)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("points", [1, 2, 15])
+    def test_pool_returns_the_per_point_results(self, sigma, points):
+        sweep = SimulationConfig().demand_sweep[:points]
+        cfg = SimulationConfig(n_vehicles=60, sigma=sigma, rounds=20, seed=3, demand_sweep=sweep)
+        expected = [
+            simulate_steady_state(
+                instance(d1 / cfg.total_demand_vph), replace(cfg, seed=cfg.seed + k)
+            )
+            for k, d1 in enumerate(sweep)
+        ]
+        assert generate_dataset(CAL_VAL, cfg) == expected
+
+    def test_spawned_workers_return_the_same_rows(self, tmp_path):
+        # Spawned workers start from a fresh import, so this checks that the
+        # point function pickles by reference and that the rows do not depend
+        # on the start method.
+        cfg = SimulationConfig(
+            n_vehicles=60, sigma=0.5, rounds=20, seed=3, demand_sweep=(1200.0, 1500.0, 1700.0)
+        )
+        script = tmp_path / "spawn_rows.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "from divergelane import CostCoefficients, SimulationConfig, generate_dataset\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            f"    for point in generate_dataset({CAL_VAL!r}, {cfg!r}):\n"
+            "        print(repr(point))\n"
+        )
+        src = str(Path(divergelane.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, str(script)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120, check=False,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        rows = [repr(point) for point in generate_dataset(CAL_VAL, cfg)]
+        assert child.stdout.decode().splitlines() == rows
 
     def test_zero_noise_round_trip_has_near_zero_violations(self, zero_noise_data):
         # Quantization is the only error source, so counting with a margin

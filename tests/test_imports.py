@@ -2,6 +2,9 @@
 above it, and ``cli`` on top."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import divergelane
@@ -50,3 +53,17 @@ def test_only_cli_imports_calibration():
     for path in PACKAGE.glob("*.py"):
         if path.stem not in ("__init__", "cli"):
             assert "calibration" not in sibling_imports(path.stem), path.stem
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    # ``generate_dataset`` imports its process pool when called, so starting
+    # the CLI pays nothing for it.
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, divergelane.cli; "
+         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stdout.decode().strip() == "[]"
