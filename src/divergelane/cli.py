@@ -76,8 +76,19 @@ def _parse_fields(text: str, form: str) -> list[float]:
 def _solve_demands(
     coeffs, demands: list[DemandConfig], tol: float
 ) -> tuple[list[FlowDistribution], list[float]]:
-    """Closed-form equilibrium flow and its largest residual per demand."""
-    xb1, xb2, residual, _ = solve_equilibria(coeffs, np.array([d.q1 for d in demands]), tol)
+    """Closed-form equilibrium flow and its largest residual per demand.
+
+    Warns once on stderr when some demand has more than one equilibrium.
+    """
+    xb1, xb2, residual, count = solve_equilibria(coeffs, np.array([d.q1 for d in demands]), tol)
+    multiple = np.flatnonzero(count > 1)
+    if multiple.size:
+        print(
+            f"warning: {multiple.size} of {len(demands)} rows have more than one "
+            f"equilibrium (first at q1={demands[multiple[0]].q1!r}); each such row "
+            "shows its least-residual one",
+            file=sys.stderr,
+        )
     flows = [
         FlowDistribution.from_bifurcating_shares(d, b1, b2)
         for d, b1, b2 in zip(demands, xb1.tolist(), xb2.tolist())

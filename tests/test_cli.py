@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import divergelane
@@ -15,8 +16,10 @@ from divergelane import (
     CostCoefficients,
     DivergeInstance,
     FlowDistribution,
+    SolverOptions,
     count_violations,
     load_dataset,
+    solve_equilibria,
     wardrop_residuals,
     write_coefficients,
 )
@@ -143,6 +146,62 @@ class TestSweep:
              "--step", "0.05", "--out", tmp_path / "no" / "dir" / "x.csv"],
         )
         assert code == 1
+
+
+class TestNonUniqueWarning:
+    """``solve`` and ``sweep`` print one stderr line when some row has more
+    than one equilibrium; stdout and the written file do not change."""
+
+    # Three equilibria at q1 = 0.18 (test_counts_every_equilibrium).
+    COEFFS = CostCoefficients(2.6, 0.5, 5.0, 0.6, 0.05, 0.8, 1.0, 18.0)
+
+    @pytest.fixture
+    def multi_file(self, tmp_path):
+        path = tmp_path / "multi.coeffs"
+        write_coefficients(path, self.COEFFS)
+        return path
+
+    def test_unique_equilibria_print_nothing(self, capsys, tmp_path, coeffs_file):
+        code, _, err = run(
+            capsys,
+            ["sweep", "--coeffs", coeffs_file, "--range", "0:1", "--step", "0.01",
+             "--out", tmp_path / "x.csv"],
+        )
+        assert code == 0
+        assert err == ""
+        code, _, err = run(capsys, ["solve", "--coeffs", coeffs_file, "--q1", "0.5"])
+        assert code == 0
+        assert err == ""
+
+    def test_solve_warns_once(self, capsys, multi_file):
+        code, out, err = run(capsys, ["solve", "--coeffs", multi_file, "--q1", "0.18"])
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: 1 of 1 rows have more than one equilibrium (first at q1=0.18); "
+            "each such row shows its least-residual one"
+        ]
+        header, row = out.splitlines()
+        assert header == "q1,q2,xf1,xb1,xf2,xb2,converged,max_residual"
+        assert row.startswith("0.18,")
+
+    def test_sweep_counts_the_rows(self, capsys, tmp_path, multi_file):
+        out_path = tmp_path / "pred.csv"
+        code, out, err = run(
+            capsys,
+            ["sweep", "--coeffs", multi_file, "--range", "0.02:0.98", "--step", "0.01",
+             "--out", out_path],
+        )
+        assert code == 0
+        assert out == ""
+        q1 = np.array([p.demand.q1 for p in load_dataset(out_path)])
+        *_, count = solve_equilibria(self.COEFFS, q1, SolverOptions().convergence_tol)
+        multiple = np.flatnonzero(count > 1)
+        assert multiple.size > 1
+        (line,) = err.splitlines()
+        assert line.startswith(
+            f"warning: {multiple.size} of {q1.size} rows have more than one equilibrium "
+            f"(first at q1={q1[multiple[0]].item()!r});"
+        )
 
 
 class TestGenerate:

@@ -177,6 +177,41 @@ class TestGenerateDataset:
         assert all(b >= a - 1e-12 for a, b in zip(shares, shares[1:]))
 
 
+class TestBurnIn:
+    """The default round count is past the burn-in: its end state has the
+    same distribution as a run ten times as long."""
+
+    SEEDS = 60
+    N = 200
+    #: Two-sample z bound, fixed before the first run.
+    Z_BOUND = 4.0
+
+    def end_counts(self, c, sigma, q1, seed, **rounds):
+        # A sweep repeating one demand runs seeds seed .. seed + SEEDS - 1.
+        cfg = SimulationConfig(
+            n_vehicles=self.N, sigma=sigma, seed=seed, total_demand_vph=1.0,
+            demand_sweep=(q1,) * self.SEEDS, **rounds,
+        )
+        data = generate_dataset(c, cfg)
+        return self.N * np.array([(p.flow.xb1, p.flow.xb2) for p in data])
+
+    @pytest.mark.parametrize(
+        "c, sigma, q1",
+        [
+            (CAL_VAL, 0.5, 0.45),
+            (CAL_VAL, 1.0, 0.6),
+            (random_coefficients(np.random.default_rng(3)), 0.2, 0.5),
+        ],
+        ids=["cal_val-0.5", "cal_val-1.0", "random-0.2"],
+    )
+    def test_default_end_state_matches_a_long_run(self, c, sigma, q1):
+        short = self.end_counts(c, sigma, q1, seed=0)
+        long = self.end_counts(c, sigma, q1, seed=1000, rounds=200)
+        se = np.sqrt((short.var(axis=0, ddof=1) + long.var(axis=0, ddof=1)) / self.SEEDS)
+        z = (short.mean(axis=0) - long.mean(axis=0)) / se
+        assert np.all(np.abs(z) <= self.Z_BOUND), z
+
+
 def reference_simulate(g_true, cfg):
     """The scalar driver loop the simulator used before it moved to per-round
     arrays and memoized lane costs, kept verbatim as the reference."""
@@ -297,8 +332,8 @@ class TestMatchesReference:
     @pytest.mark.parametrize(
         "sigma, digest",
         [
-            ("0.5", "a87d8c6bfe5f52c9a0d827355d58078d00286eeb5d4d8686b686d0b7c7c43198"),
-            ("0", "4245343ec1087aa1edc0e5e2004a8ce67b2524b5ac894b7ade720221ada53a9f"),
+            ("0.5", "1c578091d8cffcf541e36430a67b9a143ae129a42f0aa89bbd1f403f1ecd6d05"),
+            ("0", "017b7a885ebefd42a15f2c89d83093525e2761733f9fab170fb1037834eb14e4"),
         ],
     )
     def test_generate_bytes_are_pinned(self, tmp_path, sigma, digest):
