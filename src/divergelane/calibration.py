@@ -28,8 +28,9 @@ Two solvers share that encoding:
   nodes, and its best fit so far otherwise.
 * :func:`calibrate_search` — a seeded multi-start coordinate pattern search
   (Hooke & Jeeves) whose restarts run in lockstep, each step scoring every
-  live restart's next trials in one batched objective call; scalable to any
-  size but only a heuristic certificate.
+  live restart's next trials, as far ahead as a fixed trial budget allows, in
+  one batched objective call; scalable to any size but only a heuristic
+  certificate.
 """
 
 from __future__ import annotations
@@ -537,6 +538,152 @@ _STEP_FRACTIONS = (
 )
 
 
+#: Trials :func:`calibrate_search` may score per step, in sweeps (one trial
+#: per move), split evenly among the live restarts; each gets at least half a
+#: sweep, spent on walking its current move and on walks along at most a
+#: sweep of later moves.  It sets how far ahead a restart looks, never which
+#: trial it takes, so no fit depends on it.
+_LOOKAHEAD = 16
+
+
+def _chain_tables(last: int, length: int) -> tuple[np.ndarray, ...]:
+    """Where a restart stands after ``t`` moves of its sweep if every trial
+    on the way fails, for each ``(stop, again)``.
+
+    The sweep's untried moves end at ``stop``.  A sweep that improved is
+    followed at the same step by one more whose first ``again`` moves are new
+    trials (0: none, and the step shrinks at once); its later moves would
+    repeat trials known to fail from the same point, so the chain skips
+    them.  Returns, flat over ``(stop * last + again) * length + t``, the
+    step-fraction increment, the sweep kind (0 same, 1 next, 2 first of the
+    next fraction), the move, and the new ``stop`` and ``again``.
+    """
+    stop, again, t = np.ix_(np.arange(last + 1), np.arange(last), np.arange(length))
+    u = t - stop - again
+    in_sweep, repeat = t < stop, u < 0
+    tables = (
+        np.maximum(u // last + 1, 0),
+        np.where(in_sweep, 0, np.where(repeat, 1, 2)),
+        np.where(in_sweep, t, np.where(repeat, t - stop, u % last)),
+        np.where(in_sweep, stop, np.where(repeat, again, last)),
+        np.where(in_sweep, again, 0),
+    )
+    shape = np.broadcast_shapes(stop.shape, again.shape, t.shape)
+    return tuple(np.broadcast_to(table, shape).ravel() for table in tables)
+
+
+def _lockstep_refine(
+    starts: np.ndarray, arrays: _Arrays, space: _VariableSpace, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each start refined by the pattern search, and its objective, with the
+    restarts run in lockstep (see :func:`calibrate_search`); rows past the
+    first start to reach the zero objective are not run."""
+    lo, hi = space.lo, space.hi
+    nf = len(_STEP_FRACTIONS)
+    moves = np.arange(2 * lo.shape[0])
+    dims, last = moves // 2, len(moves)
+    # A row looks at most one sweep past its current move.
+    length = 2 * last + 2
+    t_fraction, t_kind, t_move, t_stop, t_again = _chain_tables(last, length)
+    # Move j steps dimension j // 2 up (j even) or down; past the last fraction
+    # the step is 0, so such a trial repeats its point and fails.
+    offsets = np.zeros((nf + 4, last))
+    offsets[:nf] = np.array(_STEP_FRACTIONS)[:, None] * (hi - lo)[dims] * (1.0 - 2 * (moves % 2))
+    lex = np.array((4.0, 2.0, 1.0))
+    thetas, values = starts.copy(), np.zeros((len(starts), 3))
+    # Per live row: its restart, point, objective and position (step-fraction
+    # index, sweep, move, stop, again, and how far to walk the move).
+    restart, theta, value, pos = moves[:0], thetas[:0], values[:0], np.zeros((6, 0), int)
+    admitted, end, capacity, steps = 0, len(starts), 2, 0
+    while admitted < end or len(restart):
+        new = np.arange(admitted, min(end, admitted + capacity - len(restart)))
+        if len(new):
+            restart, theta, value = (np.concatenate(pair) for pair in (
+                (restart, new), (theta, thetas[new]),
+                (value, _objectives(thetas[new], arrays, space, epsilon))))
+            # A new row stands before the first move of its first sweep.
+            pos = np.concatenate((pos, np.tile([[0], [0], [0], [last], [0], [1]], len(new))), 1)
+            admitted += len(new)
+        done = (zero := ~value.any(axis=1)) | (pos[0] >= nf)
+        if done.any():
+            thetas[restart[done]], values[restart[done]] = theta[done], value[done]
+            end = restart[zero].min(initial=end)
+            live = ~done & (restart < end)
+            restart, theta, value, pos = restart[live], theta[live], value[live], pos[:, live]
+            continue
+        # Capacity doubles every second step: the first restarts can take
+        # dozens of steps, and the restarts further down that creep longest,
+        # and so set the number of steps, must not wait for them to retire.
+        steps += 1
+        if steps % 2 == 0:
+            capacity = min(2 * capacity, len(starts))
+        # Each row walks its current move up to ``reach`` points (slots before
+        # ``lw``), then tries R points along each of the next H moves of its
+        # chain (slots ``lw + g * R + j``), all from its point.
+        n = len(theta)
+        share = max(last // 2, _LOOKAHEAD * last // n)
+        R = max(1, math.isqrt(share) // 2)
+        H = min(share // R - 1, last)
+        fraction, sweep, move, stop, again, reach = pos
+        m = np.arange(n)
+        base = (stop * last + again) * length + move
+        at = base[:, None] + np.arange(H + 2)
+        dim = dims[t_move[at]]
+        step = offsets[fraction[:, None] + t_fraction[at], t_move[at]]
+        reach = np.minimum(reach, share)
+        lw = max(1, int(reach.max()))
+        walk0 = np.empty((n, lw + 1))
+        walk0[:, 0] = theta[m, dim[:, 0]]
+        walk0[:, 1:] = step[:, :1]
+        walks = np.empty((n, H, R + 1))
+        walks[..., 0] = theta[m[:, None], dim[:, 1:H + 1]]
+        walks[..., 1:] = step[:, 1:H + 1, None]
+        # Walk points are summed in order, as a lone restart takes its steps.
+        coords = np.concatenate(
+            (np.cumsum(walk0, 1)[:, 1:], np.cumsum(walks, 2)[..., 1:].reshape(n, -1)), 1)
+        slot_dim = np.concatenate((np.repeat(dim[:, :1], lw, 1), np.repeat(dim[:, 1:H + 1], R, 1)), 1)
+        coords = np.clip(coords, lo[slot_dim], hi[slot_dim])
+        slots = np.arange(lw + H * R)
+        scored = (slots < reach[:, None]) | (slots >= lw)
+        trials = np.repeat(theta, reach + H * R, axis=0)
+        trials[np.arange(len(trials)), slot_dim[scored]] = coords[scored]
+        trial_values = np.zeros((n, lw + H * R, 3))
+        trial_values[scored] = _objectives(trials, arrays, space, epsilon)
+        # A slot is better than the point before it on its move (the row's own
+        # point for the move's first); the lexicographic order is the first
+        # nonzero sign of the differences.
+        before = np.concatenate((value[:, None], trial_values[:, :-1]), 1)
+        before[:, lw::R] = value[:, None]
+        better = (np.sign(trial_values - before) @ lex < 0) & scored
+        walked0 = np.logical_and.accumulate(better[:, :lw], 1).sum(1)
+        walked_later = np.logical_and.accumulate(better[:, lw:].reshape(n, H, R), 2).sum(2)
+        # A row keeps its walk if the first point is better, else the walk of
+        # the first later move whose first point is.
+        g = (walked_later > 0).argmax(1)
+        walked1 = walked_later[m, g]
+        on0 = walked0 > 0
+        take = on0 | (walked1 > 0)
+        slot = np.where(on0, walked0 - 1, lw + g * R + walked1 - 1)
+        r, slot = m[take], slot[take]
+        theta[r, slot_dim[r, slot]] = coords[r, slot]
+        value[r] = trial_values[r, slot]
+        # The row moves to the move it walked, now improved, or past every
+        # move it tried.  A walk that took all its points goes on twice as far;
+        # one that stopped short leaves nothing to try on its move.
+        c = base + np.where(on0, 0, np.where(take, g + 1, H + 1))
+        kind, move = t_kind[c], t_move[c]
+        sweep = np.where(kind == 0, sweep, np.where(kind == 1, sweep + 1, 0))
+        length_taken = np.where(on0, reach, R)
+        full = np.where(on0, walked0, walked1) == length_taken
+        pos = np.array((
+            fraction + t_fraction[c], sweep, move,
+            np.where(take, last, t_stop[c]),
+            np.where(take, move * (sweep < 39), t_again[c]),
+            np.where(take, 2 * length_taken * full, R),
+        ))
+    return thetas, values
+
+
 def calibrate_search(
     data: Sequence[DataPoint], opts: CalibrationOptions
 ) -> CalibrationResult:
@@ -547,14 +694,21 @@ def calibrate_search(
     lexicographically best outcome; deterministic for a fixed seed and never
     worse than the best raw start point.
 
-    The restarts run in lockstep, one row each: every step scores, in one
-    :func:`_objectives` call, the trials each row's lone restart would try
-    next whether or not its current move improves (the walk along that move
-    and the later moves of its sweep), and masks move each row where the
-    lone restart would go.  The result is that of the restarts run one by
-    one up to the first, in index order, to reach the zero objective; such a
-    row retires at once with every row above it.  Restarts join in index
-    order, two at first and twice as many per retirement.
+    The restarts run in lockstep, one row each, and every step scores the
+    trials of all rows in one :func:`_objectives` call.  A row scores the
+    trials its lone restart would make next if each failed: the walk along
+    its current move, then the first points of up to a sweep of its next
+    moves, each with a walk of its own.  The scan runs on past the end of the
+    sweep and of the step fraction, as the row's sweep state dictates, and
+    skips a sweep's moves that would repeat trials known to fail from the
+    same point.  The row takes the first better point and its walk, as the
+    lone restart would, or moves past every move it tried.  How far a row
+    looks comes from ``_LOOKAHEAD`` sweeps' worth of trials per step split
+    evenly among the live rows, at least half a sweep each; it never changes
+    the result.  That is the result of the restarts run one by one up to the
+    first, in index order, to reach the zero objective; such a row retires at
+    once with every row above it.  Restarts join in index order, two at first
+    and twice as many every second step.
     """
     if len(data) == 0:
         raise ValueError("data must be non-empty")
@@ -567,64 +721,7 @@ def calibrate_search(
     starts = [0.5 * (lo + hi) if ls is None else np.clip(ls, lo, hi)]
     for _ in range(opts.restarts - 1):
         starts.append(lo + rng.random(lo.shape[0]) * (hi - lo))
-
-    # Move j steps dimension j // 2 up (j even) or down by ``offsets``.
-    moves = np.arange(2 * lo.shape[0])
-    dims, last = moves // 2, len(moves)
-    offsets = np.array(_STEP_FRACTIONS)[:, None] * (hi - lo)[dims] * (1.0 - 2 * (moves % 2))
-    # Each restart's start, then its end; per live row its restart, point, objective
-    # and position (step-fraction index, sweep, move, sweep improved, walk reach).
-    thetas, values = np.array(starts), np.zeros((len(starts), 3))
-    restart, theta, value, position = moves[:0], thetas[:0], values[:0], np.zeros((0, 5), int)
-    admitted, end, capacity = 0, len(starts), 2
-    while admitted < end or len(restart):
-        new = np.arange(admitted, min(end, admitted + capacity - len(restart)))
-        if len(new):
-            restart, theta, value, position = (np.concatenate(pair) for pair in (
-                (restart, new), (theta, thetas[new]),
-                (value, _objectives(thetas[new], arrays, space, opts.epsilon)),
-                (position, np.tile((0, 0, 0, 0, 1), (len(new), 1)))))
-            admitted += len(new)
-        done = (zero := ~value.any(axis=1)) | (position[:, 0] == len(_STEP_FRACTIONS))
-        if done.any():
-            thetas[restart[done]], values[restart[done]] = theta[done], value[done]
-            end = restart[zero].min(initial=end)
-            live = ~done & (restart < end)
-            restart, theta, value, position = (a[live] for a in (restart, theta, value, position))
-            capacity = min(2 * capacity, len(starts))
-            continue
-        fraction, sweep, move, improved, reach = position.T
-        # Slot k < last: walk point k + 1 along the current move (steps summed in order, as
-        # a lone restart takes them), up to ``reach``; slot last + j: later move j from the point.
-        m, dim, step = np.arange(len(theta)), dims[move], offsets[fraction, move]
-        walk = np.column_stack((theta[m, dim], np.repeat(step[:, None], last, axis=1)))
-        coords = np.concatenate((np.cumsum(walk, 1)[:, 1:], theta[:, dims] + offsets[fraction]), 1)
-        at = np.concatenate((np.repeat(dim[:, None], last, 1), dims + 0 * m[:, None]), 1)
-        trials = np.repeat(theta[:, None, :], 2 * last, axis=1)
-        trials[m[:, None], np.arange(2 * last), at] = np.clip(coords, lo[at], hi[at])
-        scored = np.concatenate((moves < reach[:, None], moves > move[:, None]), axis=1)
-        trial_values = np.full(scored.shape + (3,), np.inf)
-        trial_values[scored] = _objectives(trials[scored], arrays, space, opts.epsilon)
-        # A row keeps the walk's prefix of points each better than the last
-        # or, if the first fails, the first later move better than its point.
-        before = np.repeat(value[:, None], 2 * last, axis=1)
-        before[:, 1:last] = trial_values[:, :last - 1]
-        (c, p, d), (c0, p0, d0) = trial_values.transpose(2, 0, 1), before.transpose(2, 0, 1)
-        better = (c < c0) | ((c == c0) & ((p < p0) | ((p == p0) & (d < d0))))
-        walked = np.cumprod(better[:, :last], axis=1).sum(axis=1)
-        jumped = (walked == 0) & better[:, last:].any(axis=1)
-        slot = np.where(jumped, last + better[:, last:].argmax(axis=1), walked - 1)
-        take, full = (walked > 0) | jumped, walked == reach
-        theta[take], value[take] = trials[take, slot[take]], trial_values[take, slot[take]]
-        improved |= take
-        move[:] = np.where(jumped, slot - last, np.where(take, move + ~full, last))
-        reach[:] = np.where(full, np.minimum(2 * reach, last), 1)
-        # A sweep ends after its last move; the step shrinks after 40 sweeps or an idle one.
-        wrapped = move == last
-        shrink = wrapped & ((improved == 0) | (sweep == 39))
-        fraction += shrink
-        sweep[:] = np.where(shrink, 0, sweep + wrapped)
-        move[wrapped], improved[wrapped] = 0, 0
+    thetas, values = _lockstep_refine(np.array(starts), arrays, space, opts.epsilon)
 
     # Restarts past the first at zero were dropped; the loop stops before them.
     best: tuple[tuple[int, float, float], tuple[float, ...]] | None = None

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ MAX_RANGE_POINTS = 10**6
 _EPILOG = """\
 exit codes:
   0  success
-  1  bad input (parse or validation error)
+  1  bad input (usage, parse or validation error)
   2  no split certified as an equilibrium at the tolerance
   4  uniqueness condition failed on some link
 """
@@ -195,8 +195,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if max(residuals) <= args.tol else EXIT_CONDITION_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, as bad input.
+
+    argparse exits 2 on a malformed command line, the code this CLI keeps
+    for "no split certified"; the printed usage and message are argparse's.
+    """
+
+    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+        super().exit(EXIT_INPUT if status == 2 else status, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divergelane",
         description="Equilibrium lane-choice model for a diverge with a bifurcating lane.",
         epilog=_EPILOG,

@@ -14,6 +14,7 @@ from divergelane import (
     DataPoint,
     DemandConfig,
     DivergeInstance,
+    FlowDistribution,
     solve_fixed_point,
     uniqueness_margins,
 )
@@ -95,6 +96,30 @@ def noiseless_protocol_dataset(
         report = solve_fixed_point(DivergeInstance(demand, c))
         assert report.converged
         points.append(DataPoint(demand=demand, flow=report.flow, total_demand_vph=total_vph))
+    return points
+
+
+def noisy_protocol_grid(grid: int = 5000, sd: float = 0.01, seed: int = 2019) -> list[DataPoint]:
+    """The benchmark's calibration input, rebuilt: equilibria of ``CAL_VAL``
+    over the demand protocol plus Gaussian share noise of standard deviation
+    ``sd``, snapped to multiples of ``1/grid``.  At a margin of 1e-3 no fit
+    satisfies every condition, so the search runs all its restarts."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for d1 in PROTOCOL_SWEEP_VPH:
+        q1 = d1 / PROTOCOL_TOTAL_VPH
+        n1 = int(round(grid * q1))
+        n2 = grid - n1
+        flow = solve_fixed_point(DivergeInstance(DemandConfig(q1, 1.0 - q1), CAL_VAL)).flow
+        b1 = min(max(int(round((flow.xb1 + rng.normal(0.0, sd)) * grid)), 0), n1)
+        b2 = min(max(int(round((flow.xb2 + rng.normal(0.0, sd)) * grid)), 0), n2)
+        points.append(
+            DataPoint(
+                demand=DemandConfig(n1 / grid, n2 / grid),
+                flow=FlowDistribution((n1 - b1) / grid, b1 / grid, (n2 - b2) / grid, b2 / grid),
+                total_demand_vph=PROTOCOL_TOTAL_VPH,
+            )
+        )
     return points
 
 

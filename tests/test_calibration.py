@@ -55,6 +55,7 @@ from conftest import (
     admissible_values,
     edge_values,
     noiseless_protocol_dataset,
+    noisy_protocol_grid,
     random_coefficients,
 )
 
@@ -111,15 +112,16 @@ def reference_objective(theta, arrays, space, epsilon):
     return (int(count), positive, deficit)
 
 
-def reference_refine(theta, arrays, space, epsilon):
+def reference_refine(theta, arrays, space, epsilon, *, sweeps=None):
     """Coordinate pattern search from ``theta`` with a shrinking step: the
-    one-restart loop the lockstep search replaced."""
+    one-restart loop the lockstep search replaced.  ``sweeps``, if given,
+    receives the number of sweeps run at each step fraction."""
     theta = theta.copy()
     value = reference_objective(theta, arrays, space, epsilon)
     lo, hi = space.lo, space.hi
     span = hi - lo
     for fraction in _STEP_FRACTIONS:
-        for _ in range(40):
+        for sweep in range(40):
             improved = False
             for dim in range(theta.shape[0]):
                 step = fraction * span[dim]
@@ -137,6 +139,8 @@ def reference_refine(theta, arrays, space, epsilon):
                             break
             if not improved:
                 break
+        if sweeps is not None:
+            sweeps.append(sweep + 1)
     return value, theta
 
 
@@ -774,3 +778,73 @@ class TestCalibrateSearch:
         second = calibrate_search(data, opts)
         assert first.coefficients == second.coefficients
         assert first.violations == second.violations
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(1, 6),
+        symmetry=st.booleans(),
+        restarts=st.integers(1, 8),
+        epsilon=st.sampled_from((1e-4, 1e-2)),
+    )
+    def test_lookahead_does_not_change_the_fit(self, seed, K, symmetry, restarts, epsilon):
+        # The trial budget sets how far ahead each restart looks, from half a
+        # sweep per step (budget 0) to thousands of trials; the fit must not
+        # move.  Some draws stop at a restart with the zero objective (8 of
+        # the 20 here), the others run every restart.
+        rng = np.random.default_rng(seed)
+        truth = random_coefficients(rng)
+        try:
+            data = [noisy_point(rng, truth, 0.01) for _ in range(K)]
+        except AssertionError:  # solver did not converge for this truth
+            return
+        opts = CalibrationOptions(
+            epsilon=epsilon, symmetry=symmetry, restarts=restarts, seed=seed % 1000
+        )
+        results = []
+        for lookahead in (0, 64):
+            with mock.patch.object(calibration, "_LOOKAHEAD", lookahead):
+                results.append(calibrate_search(data, opts))
+        # Coefficients, violation count, flags, certificate and uniqueness.
+        assert results[0] == results[1]
+
+
+class TestLongChain:
+    """The benchmark's 15-point noisy set at a margin of 1e-3, where no fit
+    reaches zero and a few restarts creep through every sweep of the finer
+    step fractions."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return noisy_protocol_grid()
+
+    def test_creeping_restart_matches_reference(self, data):
+        opts = CalibrationOptions(epsilon=1e-3, symmetry=True)
+        space, arrays = _variable_space(opts), _data_arrays(data)
+        start = reference_starts(data, opts)[180]
+        sweeps = []
+        value, theta = reference_refine(start, arrays, space, opts.epsilon, sweeps=sweeps)
+        assert sum(count == 40 for count in sweeps) >= 3
+        thetas, values = calibration._lockstep_refine(
+            start[None, :], arrays, space, opts.epsilon
+        )
+        assert thetas[0].tolist() == theta.tolist()
+        count, positive, deficit = values[0].tolist()
+        assert (int(count), positive, deficit) == value
+
+    @pytest.mark.parametrize("symmetry, before", [(True, 1925), (False, 1288)])
+    def test_batched_calls_capped(self, monkeypatch, data, symmetry, before):
+        # ``before``: the batched objective calls of the lockstep search that
+        # looked ahead only to the end of each sweep; the budgeted lookahead
+        # must need at most 0.6 times as many.
+        calls = 0
+        objectives = calibration._objectives
+
+        def counting(theta, *args):
+            nonlocal calls
+            calls += 1
+            return objectives(theta, *args)
+
+        monkeypatch.setattr(calibration, "_objectives", counting)
+        calibrate_search(data, CalibrationOptions(epsilon=1e-3, symmetry=symmetry))
+        assert calls <= 0.6 * before

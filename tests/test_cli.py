@@ -22,10 +22,11 @@ from divergelane import (
     solve_equilibria,
     wardrop_residuals,
     write_coefficients,
+    write_dataset,
 )
 from divergelane.cli import MAX_RANGE_POINTS, _range_values, main
 
-from conftest import CAL_VAL, NOISY_FIVE_CSV
+from conftest import CAL_VAL, NOISY_FIVE_CSV, noisy_protocol_grid
 
 
 @pytest.fixture
@@ -422,6 +423,47 @@ def test_cli_import_leaves_scipy_unloaded():
     assert child.stdout.decode().strip() == "False"
 
 
+class TestUsageErrors:
+    """A malformed command line is bad input: it exits 1 with argparse's usage
+    and message on stderr, and 2 keeps meaning "no split certified"."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--coeffs", "x.coeffs", "--q1", "abc"],
+             "divergelane solve: error: argument --q1: invalid float value: 'abc'\n"),
+            (["solve", "--coeffs", "x.coeffs"],
+             "divergelane solve: error: the following arguments are required: --q1\n"),
+            (["frobnicate"],
+             "divergelane: error: argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["non_numeric_q1", "missing_q1", "unknown_command"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: divergelane")
+        assert message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: divergelane solve")
+
+    def test_process_exit_status(self):
+        src = str(Path(divergelane.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-m", "divergelane.cli", "solve", "--q1", "abc"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src}, check=False,
+        )
+        assert child.returncode == 1
+        assert b"invalid float value: 'abc'" in child.stderr
+
+
 class TestNonFiniteInput:
     """Non-finite numbers are bad input (exit 1), never a NaN result."""
 
@@ -629,5 +671,26 @@ class TestPinnedBytes:
         code, out, _ = run(
             capsys, ["calibrate", "--data", path, "--solver", solver, "--tol", "1e-3"]
         )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "symmetry, digest",
+        [
+            (True, "15aeb4cc7dafd6822ebb8fffb926a13936f28d9fdba51695b5a5727a7b7e5b8e"),
+            (False, "3ca3cbf2ea89bbc4723180352757e61a6a7cb0b218d862434fbcde1369e90289"),
+        ],
+        ids=["symmetric", "asymmetric"],
+    )
+    def test_noisy_grid_heuristic_calibrate_bytes(self, capsys, tmp_path, symmetry, digest):
+        # The benchmark's 15-point set, where the search runs all 200
+        # restarts and its longest restart takes hundreds of steps.
+        path = tmp_path / "noisy.csv"
+        write_dataset(path, noisy_protocol_grid())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "30ba8b986a75fbda7a54c178fda854e5e4e49ba0edb08d58aeec2ed7a9db3fae"
+        )
+        argv = ["calibrate", "--data", path, "--solver", "heuristic", "--tol", "1e-3"]
+        code, out, _ = run(capsys, argv + ["--symmetry"] if symmetry else argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
