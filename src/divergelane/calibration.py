@@ -26,11 +26,11 @@ Two solvers share that encoding:
   :func:`scipy.optimize.milp`, returning a provably minimal violation count
   when HiGHS closes the search within ``MILP_NODE_LIMIT`` branch-and-bound
   nodes, and its best fit so far otherwise.
-* :func:`calibrate_search` — a seeded multi-start coordinate pattern search
-  (Hooke & Jeeves) whose restarts run in lockstep, each step scoring every
-  live restart's next trials, as far ahead as a fixed trial budget allows, in
-  one batched objective call; scalable to any size but only a heuristic
-  certificate.
+* :func:`calibrate_search` — a seeded multi-start coordinate (compass)
+  search, with no pattern move, whose restarts run in lockstep, each step
+  scoring every live restart's next trials, as far ahead as a fixed trial
+  budget allows, in one batched objective call; scalable to any size but
+  only a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .model import (
     FeasibilityError,
     check_feasible,
     check_uniqueness_condition,
+    cost_gaps,
     residual_products,
     uniqueness_margins,
 )
@@ -159,30 +160,18 @@ class CalibrationResult:
 # Shared encoding helpers
 
 
-@dataclass(frozen=True)
-class _Arrays:
-    xf1: np.ndarray
-    xb1: np.ndarray
-    xf2: np.ndarray
-    xb2: np.ndarray
+def _data_arrays(data: Sequence[DataPoint]) -> np.ndarray:
+    """The class shares of ``data`` as a C-contiguous ``(4, K)`` matrix, one
+    row each for xf1, xb1, xf2 and xb2, so ``residual_products(c, *a)``
+    reads them."""
+    return np.array([[getattr(p.flow, x) for p in data] for x in ("xf1", "xb1", "xf2", "xb2")])
 
 
-def _data_arrays(data: Sequence[DataPoint]) -> _Arrays:
-    return _Arrays(
-        xf1=np.array([p.flow.xf1 for p in data]),
-        xb1=np.array([p.flow.xb1 for p in data]),
-        xf2=np.array([p.flow.xf2 for p in data]),
-        xb2=np.array([p.flow.xb2 for p in data]),
-    )
-
-
-def _violations(c, a: _Arrays, epsilon: float):
+def _violations(c, a: np.ndarray, epsilon: float):
     """Products of ``c`` (coefficients, or ``(M, 1)`` columns of ``M`` sets) as
     a C-contiguous ``(M, 4K)`` matrix, point-major (f1, b1, f2, b2), and per
     row the violation flags, their count and their masked sum."""
-    products = np.concatenate(
-        [x[..., None] for x in residual_products(c, a.xf1, a.xb1, a.xf2, a.xb2)], -1
-    ).reshape(-1, 4 * len(a.xf1))
+    products = np.stack(residual_products(c, *a), -1).reshape(-1, 4 * a.shape[1])
     flags = products > epsilon
     return products, flags, flags.sum(axis=1), np.where(flags, products, 0.0).sum(axis=1)
 
@@ -301,33 +290,25 @@ def linearized_values(c: CostCoefficients, symmetry: bool) -> dict[str, float]:
     return linearized
 
 
-def _gap_rows(a: _Arrays, space: _VariableSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized cost gaps of links 1 and 2: row k of each, dotted with the
-    linearized variables, is that link's feed-through minus bifurcating
-    cost at point k."""
-    f1, f2, _, l1, l2, m1, m2, nu = space.tie
-    gap1 = np.zeros((a.xf1.shape[0], len(space.names)))
-    gap2 = np.zeros_like(gap1)
-    gap1[:, f1], gap1[:, l1], gap1[:, m1] = a.xf1, -a.xb1, -a.xb2
-    gap2[:, f2], gap2[:, l2], gap2[:, m2] = a.xf2, -a.xb2, -a.xb1
-    gap1[:, nu] = gap2[:, nu] = -(a.xb1 * a.xb2)
-    return gap1, gap2
+def _linear_rows(kernel, a: np.ndarray, space: _VariableSpace) -> tuple[np.ndarray, ...]:
+    """The quantities ``kernel(c, *a)`` (``cost_gaps`` or
+    ``residual_products``) as ``(K, n)`` rows: row k of each, dotted with
+    the linearized variables, is that quantity at point k.
+
+    Each quantity is linear in the linearized variables, so column j is the
+    kernel evaluated with variable j at 1 and every other at 0: the
+    coefficients tied to j are 1, and for a factor product so is ``cb``.
+    """
+    columns = np.eye(len(space.names))
+    c = [columns[j] for j in space.tie]
+    c[_CB] = columns[space.rate] + space.factor
+    return kernel(_Columns(*c), *a[:, :, None])
 
 
-def _condition_matrix(a: _Arrays, space: _VariableSpace) -> np.ndarray:
+def _condition_matrix(a: np.ndarray, space: _VariableSpace) -> np.ndarray:
     """Affine condition coefficients: row (4k + j) gives condition j of
     point k as a dot product with the linearized variables."""
-    gap1, gap2 = _gap_rows(a, space)
-    rows = np.stack(
-        (
-            a.xf1[:, None] * gap1,
-            -a.xb1[:, None] * gap1,
-            a.xf2[:, None] * gap2,
-            -a.xb2[:, None] * gap2,
-        ),
-        axis=1,
-    )
-    return rows.reshape(-1, len(space.names))
+    return np.stack(_linear_rows(residual_products, a, space), 1).reshape(-1, len(space.names))
 
 
 def _recover_coefficients(z: np.ndarray, space: _VariableSpace) -> CostCoefficients:
@@ -473,7 +454,7 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
 # Heuristic solver: multi-start randomized search with coordinate refinement
 
 
-def _objectives(theta: np.ndarray, arrays: _Arrays, space: _VariableSpace, epsilon: float):
+def _objectives(theta: np.ndarray, arrays: np.ndarray, space: _VariableSpace, epsilon: float):
     """Lexicographic search objective of each row of ``theta``, ``(M, 3)``.
 
     Primary: violation count.  Secondary: summed positive parts of the
@@ -487,19 +468,18 @@ def _objectives(theta: np.ndarray, arrays: _Arrays, space: _VariableSpace, epsil
     return np.array((count, positive, deficit[:, 0])).T
 
 
-def _least_squares_start(a: _Arrays, space: _VariableSpace) -> np.ndarray | None:
+def _least_squares_start(a: np.ndarray, space: _VariableSpace) -> np.ndarray | None:
     """Deterministic start: fit the interior cost-equality rows in the
     linearized space and rescale onto the admissible box (the equilibrium
     conditions are scale-invariant, so only the ray direction matters)."""
     tiny = 1e-9
     # Point-major rows (link 1, then link 2) of the links whose two classes
     # are both populated.
-    interior = np.column_stack(
-        ((a.xf1 > tiny) & (a.xb1 > tiny), (a.xf2 > tiny) & (a.xb2 > tiny))
-    )
+    xf1, xb1, xf2, xb2 = a > tiny
+    interior = np.column_stack((xf1 & xb1, xf2 & xb2))
     if not interior.any():
         return None
-    matrix = np.stack(_gap_rows(a, space), axis=1)[interior]
+    matrix = np.stack(_linear_rows(cost_gaps, a, space), axis=1)[interior]
     # An untied cb appears in no gap row (only through the products), so
     # drop its column and anchor it at the mean feed rate afterwards.
     fitted = sorted({j for k, j in enumerate(space.tie) if k != _CB})
@@ -573,9 +553,9 @@ def _chain_tables(last: int, length: int) -> tuple[np.ndarray, ...]:
 
 
 def _lockstep_refine(
-    starts: np.ndarray, arrays: _Arrays, space: _VariableSpace, epsilon: float
+    starts: np.ndarray, arrays: np.ndarray, space: _VariableSpace, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each start refined by the pattern search, and its objective, with the
+    """Each start refined by the coordinate search, and its objective, with the
     restarts run in lockstep (see :func:`calibrate_search`); rows past the
     first start to reach the zero objective are not run."""
     lo, hi = space.lo, space.hi
@@ -690,7 +670,7 @@ def calibrate_search(
     """Heuristic violation-count minimization over the bounded box.
 
     Runs ``opts.restarts`` starts (one deterministic least-squares seed plus
-    random box samples) through a coordinate pattern search, returning the
+    random box samples) through a coordinate (compass) search, returning the
     lexicographically best outcome; deterministic for a fixed seed and never
     worse than the best raw start point.
 

@@ -106,7 +106,9 @@ def write_coefficients(path: str | Path, c: CostCoefficients, symmetry: bool = F
 
 
 def parse_dataset(text: str) -> list[DataPoint]:
-    """Parse a dataset CSV into validated data points."""
+    """Parse a dataset CSV into validated data points; each row's ``k`` must
+    be its 1-based position among the data rows, as :func:`format_dataset`
+    numbers them."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != DATASET_HEADER:
         raise ParseError(f"expected header {DATASET_HEADER!r}", 1)
@@ -118,6 +120,12 @@ def parse_dataset(text: str) -> list[DataPoint]:
         fields = line.split(",")
         if len(fields) != 8:
             raise ParseError(f"expected 8 comma-separated fields, got {len(fields)}", lineno)
+        try:
+            k = int(fields[0])
+        except ValueError:
+            k = None
+        if k != len(points) + 1:
+            raise ParseError(f"expected k = {len(points) + 1}, got {fields[0]!r}", lineno)
         try:
             q1, q2, xf1, xb1, xf2, xb2, vph = (float(f) for f in fields[1:])
         except ValueError:

@@ -1,6 +1,7 @@
 """Violation counting, the indicator system, and both calibration solvers."""
 
 import contextlib
+import hashlib
 import itertools
 import math
 from types import SimpleNamespace
@@ -42,10 +43,12 @@ from divergelane.calibration import (
     _condition_matrix,
     _data_arrays,
     _least_squares_start,
+    _linear_rows,
     _objectives,
     _variable_space,
     linearized_values,
 )
+from divergelane.model import cost_gaps
 
 from conftest import (
     CAL_VAL,
@@ -292,15 +295,32 @@ class TestBuildMilp:
 
     def test_rows_reproduce_products(self):
         # The coefficient part of each condition row, evaluated at fixed
-        # coefficients, reproduces the product count_violations evaluates.
+        # coefficients, reproduces the product count_violations evaluates,
+        # and the cost-gap rows the least-squares start fits reproduce the
+        # gaps; with and without symmetry, at several probes.
+        rng = np.random.default_rng(67)
         data = [equilibrium_point(CAL_VAL, 0.45), equilibrium_point(CAL_VAL, 0.55)]
-        opts = CalibrationOptions(symmetry=True)
-        _, _, _, constraints = build_milp(data, opts)
-        probe = CostCoefficients(2.0, 2.0, 2.0, 0.8, 0.8, 0.3, 0.3, 1.5)
-        z = np.array(list(linearized_values(probe, symmetry=True).values()))
-        report = count_violations(probe, data, opts.epsilon)
-        products = constraints.A[: 4 * len(data), : z.size] @ z
-        np.testing.assert_allclose(products, report.products.ravel(), rtol=0, atol=1e-12)
+        data += [noisy_point(rng, random_coefficients(rng), 0.02) for _ in range(3)]
+        arrays = _data_arrays(data)
+        fixed = CostCoefficients(2.0, 2.0, 2.0, 0.8, 0.8, 0.3, 0.3, 1.5)
+        for symmetry in (False, True):
+            opts = CalibrationOptions(symmetry=symmetry)
+            _, _, _, constraints = build_milp(data, opts)
+            gap_rows = np.stack(
+                _linear_rows(cost_gaps, arrays, _variable_space(opts)), axis=1
+            ).reshape(2 * len(data), -1)
+            for probe in [fixed] + [random_coefficients(rng) for _ in range(4)]:
+                if symmetry:
+                    probe = CostCoefficients(
+                        probe.cf1, probe.cf1, probe.cf1, probe.lambda1, probe.lambda1,
+                        probe.mu1, probe.mu1, probe.nu,
+                    )
+                z = np.array(list(linearized_values(probe, symmetry).values()))
+                report = count_violations(probe, data, opts.epsilon)
+                products = constraints.A[: 4 * len(data), : z.size] @ z
+                np.testing.assert_allclose(products, report.products.ravel(), rtol=0, atol=1e-12)
+                gaps = np.column_stack(cost_gaps(probe, *arrays)).ravel()
+                np.testing.assert_allclose(gap_rows @ z, gaps, rtol=0, atol=1e-12)
 
     def test_condition_matrix_matches_row_loop(self):
         # Reference: condition rows built one point at a time from the two
@@ -349,6 +369,40 @@ class TestBuildMilp:
                 x = np.array(z + [float(f) for f in np.ravel(report.flags)] + [0.0])
                 assert np.all(bounds.lb <= x) and np.all(x <= bounds.ub)
                 assert np.all(constraints.A @ x <= constraints.ub + 1e-9)
+
+
+class TestPinnedMilp:
+    """:func:`build_milp`'s arrays and the least-squares start, byte for
+    byte, on the benchmark's noisy set and its every-third subset at a
+    margin of 1e-3.  The digests cover each array's C-ordered bytes, so a
+    change in the last bit of a big-M or of a start shows here even where
+    the fits, and the tests that compare them, do not move."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return noisy_protocol_grid()
+
+    @pytest.mark.parametrize(
+        "stride, symmetry, expected",
+        [
+            (1, True, "dedddb5b408c2430f2edb6c5b648499c5e514d567223479ef36c5bc57000e3a2"),
+            (1, False, "5a8670a104869f11078b9a5a9c1f9fee545fd62620212988bde9cc57ce463c5c"),
+            (3, True, "3677ba09e871f03a6e60c550f13a1da84af2ed91901183d8b729eb05d76fa53e"),
+            (3, False, "9fa6bc15b850269cc34ea0bcb7d552e4275a8b0358b06880bd1cc2c80293036e"),
+        ],
+    )
+    def test_bytes(self, grid, stride, symmetry, expected):
+        data = grid[::stride]
+        opts = CalibrationOptions(epsilon=1e-3, symmetry=symmetry)
+        c, integrality, bounds, constraints = build_milp(data, opts)
+        start = _least_squares_start(_data_arrays(data), _variable_space(opts))
+        digest = hashlib.sha256(b"no start" if start is None else b"")
+        arrays = (c, integrality, bounds.lb, bounds.ub, constraints.A, constraints.ub)
+        for array in arrays if start is None else (*arrays, start):
+            array = np.ascontiguousarray(array)
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == expected
 
 
 #: Coefficients a symmetric diverge ties to one free parameter.

@@ -606,6 +606,16 @@ class TestVerify:
             outputs.append(out)
         assert "1,-0.0,true" in outputs[0]
 
+    def test_misnumbered_row_exits_1(self, capsys, tmp_path, coeffs_file):
+        path = tmp_path / "k.csv"
+        path.write_text(
+            "k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph\nabc,0.5,0.5,0.3,0.2,0.3,0.2,3000.0\n"
+        )
+        code, out, err = run(capsys, ["verify", "--coeffs", coeffs_file, "--data", path])
+        assert code == 1
+        assert out == ""
+        assert "line 2: expected k = 1, got 'abc'" in err
+
 
 class TestPinnedBytes:
     """Digests of ``sweep`` and ``calibrate`` outputs, which a last-bit

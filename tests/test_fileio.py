@@ -230,6 +230,19 @@ class TestDataset:
             with pytest.raises(ParseError, match="k=1"):
                 parse_dataset(text)
 
+    @pytest.mark.parametrize("k", ["abc", "", "0", "2", "1.0"])
+    def test_first_row_k_must_be_1(self, k):
+        text = f"{DATASET_HEADER}\n{k},0.5,0.5,0.3,0.2,0.3,0.2,3000.0\n"
+        with pytest.raises(ParseError, match=f"^line 2: expected k = 1, got '{k}'$"):
+            parse_dataset(text)
+
+    def test_k_counts_data_rows(self):
+        # Blank lines are skipped and do not count; a repeated k is refused.
+        text = format_dataset(sample_points()).replace("\n2,", "\n\n2,")
+        assert parse_dataset(text) == sample_points()
+        with pytest.raises(ParseError, match="^line 4: expected k = 2, got '1'$"):
+            parse_dataset(text.replace("\n2,", "\n1,"))
+
     def test_header_only_gives_empty_dataset(self):
         assert parse_dataset("k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph\n") == []
 
