@@ -698,10 +698,9 @@ def calibrate_search(
     rng = np.random.default_rng(opts.seed)
 
     ls = _least_squares_start(arrays, space)
-    starts = [0.5 * (lo + hi) if ls is None else np.clip(ls, lo, hi)]
-    for _ in range(opts.restarts - 1):
-        starts.append(lo + rng.random(lo.shape[0]) * (hi - lo))
-    thetas, values = _lockstep_refine(np.array(starts), arrays, space, opts.epsilon)
+    first = 0.5 * (lo + hi) if ls is None else np.clip(ls, lo, hi)
+    starts = np.vstack((first, lo + rng.random((opts.restarts - 1, lo.shape[0])) * (hi - lo)))
+    thetas, values = _lockstep_refine(starts, arrays, space, opts.epsilon)
 
     # Restarts past the first at zero were dropped; the loop stops before them.
     best: tuple[tuple[int, float, float], tuple[float, ...]] | None = None

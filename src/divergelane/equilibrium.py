@@ -2,12 +2,11 @@
 
 Each bifurcating share enters its own link's cost gap linearly, so the
 equilibria have a closed form.  :func:`solve_equilibria` enumerates every
-candidate split for a whole array of demands at once: the four corners of
-the action box, the four splits with one share at a bound and the other at
-its best response, and the two roots of the interior gap equations, which
-reduce to a line and a quadratic.  It certifies each candidate with the
-residual products and returns the best-certified one with the number of
-distinct equilibria.
+candidate split for a whole array of demands at once: the six splits
+with one share at a bound and the other at its best response, or with both
+shares at a root of the interior gap equations, which reduce to a line and
+a quadratic.  It certifies each candidate with the residual products and
+returns the best-certified one with the number of distinct equilibria.
 
 The paper's method is kept as an independent cross-check: the best
 response of an auxiliary two-player game (player ``i`` picks its
@@ -57,8 +56,8 @@ class AuxiliaryAction:
     y2: float
 
     def __post_init__(self) -> None:
-        if self.y1 < 0 or self.y2 < 0:
-            raise ValueError(f"actions must be non-negative, got ({self.y1}, {self.y2})")
+        if not (0 <= self.y1 < math.inf and 0 <= self.y2 < math.inf):
+            raise ValueError(f"actions must be finite and non-negative, got {self.y1, self.y2}")
 
     def action(self, link: int) -> float:
         _check_link(link)
@@ -102,15 +101,16 @@ def _gap_root(c: CostCoefficients, q_i, x_j_b, link: int):
 def best_response(c: CostCoefficients, q_i: float, x_j_b: float, link: int) -> float:
     """Bifurcating share of ``link`` that equalizes its two lane costs.
 
-    The root of the gap (:func:`_gap_root`) clipped to ``[0, q_i]``; the
-    clipped branches are the all-bifurcating and all-feed-through regimes
-    where one lane dominates over the whole interval.
+    The root of the gap (:func:`_gap_root`) clipped to ``[0, q_i]``.  The
+    clip at 0 is the all-feed-through regime, where the bifurcating lane
+    dominates.  An empty feed lane costs 0, so the root never exceeds
+    ``q_i``: the all-bifurcating clip is reached only through rounding.
     """
     _check_link(link)
-    if q_i < 0:
-        raise ValueError(f"q_i must be non-negative, got {q_i!r}")
-    if x_j_b < 0:
-        raise ValueError(f"x_j_b must be non-negative, got {x_j_b!r}")
+    if not 0.0 <= q_i < math.inf:
+        raise ValueError(f"q_i must be finite and non-negative, got {q_i!r}")
+    if not 0.0 <= x_j_b < math.inf:
+        raise ValueError(f"x_j_b must be finite and non-negative, got {x_j_b!r}")
     root, _ = _gap_root(c, q_i, x_j_b, link)
     return min(max(root, 0.0), q_i)
 
@@ -123,6 +123,10 @@ def best_response_slope(c: CostCoefficients, q_i: float, x_j_b: float, link: int
     :class:`BoundaryBranchError` is raised instead of returning 0.
     """
     _check_link(link)
+    if not 0.0 <= q_i < math.inf:
+        raise ValueError(f"q_i must be finite and non-negative, got {q_i!r}")
+    if not 0.0 <= x_j_b < math.inf:
+        raise ValueError(f"x_j_b must be finite and non-negative, got {x_j_b!r}")
     root, denominator = _gap_root(c, q_i, x_j_b, link)
     if root <= 0.0 or root >= q_i:
         raise BoundaryBranchError(
@@ -177,25 +181,24 @@ def _interior_roots(c: CostCoefficients, q1: np.ndarray, q2: np.ndarray):
 
 
 def _candidate_splits(c: CostCoefficients, q1: np.ndarray, q2: np.ndarray):
-    """The ten candidate splits ``(y1, y2)`` per demand, arrays of shape
-    ``(10, n)`` clipped to the action box, in a fixed order.
+    """The six candidate splits ``(y1, y2)`` per demand, arrays of shape
+    ``(6, n)`` clipped to the action box, in a fixed order.
 
-    They are the four corners ``(0, 0)``, ``(q1, 0)``, ``(0, q2)``,
-    ``(q1, q2)``; the four splits with ``y1 = 0``, ``y1 = q1``, ``y2 = 0``
-    or ``y2 = q2`` and the other share at its best response; and the two
+    They are the four splits with ``y1 = 0``, ``y1 = q1``, ``y2 = 0`` or
+    ``y2 = q2`` and the other share at its best response, then the two
     roots of :func:`_interior_roots`.  Every equilibrium is one of them:
     a share strictly inside its interval zeroes its own gap, and the gap is
     strictly decreasing in the own share, so the other share's response is
-    unique.
+    unique.  No corner of the box is one: a populated link all on its
+    bifurcating lane leaves its feed lane empty at cost 0, and with both
+    links on their feed lanes both bifurcating lanes cost 0.  The same holds
+    at ``y_i = q_i``, but under rounding those splits certify the demands
+    within about 1e-15 of an end.
     """
     zero = np.zeros_like(q1)
     root1, root2 = _interior_roots(c, q1, q2)
-    y1 = np.stack(
-        (zero, q1, zero, q1, zero, q1, _gap_root(c, q1, zero, 1)[0], _gap_root(c, q1, q2, 1)[0])
-    )
-    y2 = np.stack(
-        (zero, zero, q2, q2, _gap_root(c, q2, zero, 2)[0], _gap_root(c, q2, q1, 2)[0], zero, q2)
-    )
+    y1 = (zero, q1, _gap_root(c, q1, zero, 1)[0], _gap_root(c, q1, q2, 1)[0])
+    y2 = (_gap_root(c, q2, zero, 2)[0], _gap_root(c, q2, q1, 2)[0], zero, q2)
     return (
         np.clip(np.concatenate((y1, root1)), 0.0, q1),
         np.clip(np.concatenate((y2, root2)), 0.0, q2),
@@ -228,14 +231,8 @@ def solve_equilibria(
     certified = residual <= tol
     count = np.zeros(q1.shape, dtype=int)
     for k in range(len(y1)):
-        seen = np.zeros(q1.shape, dtype=bool)
-        for j in range(k):
-            seen |= (
-                certified[j]
-                & (np.abs(y1[j] - y1[k]) <= DISTINCT_TOL)
-                & (np.abs(y2[j] - y2[k]) <= DISTINCT_TOL)
-            )
-        count += certified[k] & ~seen
+        near = (np.abs(y1[:k] - y1[k]) <= DISTINCT_TOL) & (np.abs(y2[:k] - y2[k]) <= DISTINCT_TOL)
+        count += certified[k] & ~(certified[:k] & near).any(axis=0)
     best = np.argmin(residual, axis=0)
     rows = np.arange(q1.size)
     return y1[best, rows], y2[best, rows], residual[best, rows], count

@@ -23,7 +23,7 @@ from divergelane import (
     solve_fixed_point,
     solve_grid_oracle,
 )
-from divergelane.equilibrium import DISTINCT_TOL, _candidate_splits
+from divergelane.equilibrium import DISTINCT_TOL, _candidate_splits, _gap_root, _interior_roots
 from divergelane.model import max_residual
 
 from conftest import CAL_VAL, coefficients, random_uniqueness_instance
@@ -76,6 +76,11 @@ class TestSolverOptions:
         with pytest.raises(ValueError, match="non-negative"):
             AuxiliaryAction(-0.1, 0.2)
 
+    @pytest.mark.parametrize("y", [(np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1), (0.1, np.inf)])
+    def test_auxiliary_action_finite(self, y):
+        with pytest.raises(ValueError, match="finite"):
+            AuxiliaryAction(*y)
+
 
 class TestBestResponse:
     def test_empty_action_set(self):
@@ -110,6 +115,14 @@ class TestBestResponse:
             best_response(CAL_VAL, -0.1, 0.0, 1)
         with pytest.raises(ValueError):
             best_response(CAL_VAL, 0.5, -0.1, 1)
+
+    @pytest.mark.parametrize("function", [best_response, best_response_slope])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, function, value):
+        with pytest.raises(ValueError, match="q_i must be finite"):
+            function(CAL_VAL, value, 0.1, 1)
+        with pytest.raises(ValueError, match="x_j_b must be finite"):
+            function(CAL_VAL, 0.5, value, 1)
 
 
 class TestSolveFixedPoint:
@@ -405,6 +418,58 @@ demand_arrays = st.lists(st.floats(0.0, 1.0), max_size=12).map(
     lambda q: np.array([0.0, 1.0, *q])
 )
 
+#: Exit-1 demands that also hold shares within 1e-15 and 1e-9 of either end,
+#: where rounding decides which candidates certify.
+edge_demand_arrays = demand_arrays.map(
+    lambda q: np.concatenate((q, [1e-15, 1e-9, 1.0 - 1e-15, 1.0 - 1e-9]))
+)
+
+
+def box_corners(q1, q2):
+    """The four corners ``(0, 0)``, ``(q1, 0)``, ``(0, q2)``, ``(q1, q2)`` of
+    the action box, as arrays of shape ``(4, n)``."""
+    zero = np.zeros_like(q1)
+    return np.stack((zero, q1, zero, q1)), np.stack((zero, zero, q2, q2))
+
+
+def ten_candidates(c, q1, q2):
+    """Reference enumeration: the four box corners, then the four edge
+    splits with the other share at its best response, then the two interior
+    roots, clipped to the box."""
+    zero = np.zeros_like(q1)
+    corner1, corner2 = box_corners(q1, q2)
+    root1, root2 = _interior_roots(c, q1, q2)
+    y1 = np.concatenate(
+        (corner1, [zero, q1, _gap_root(c, q1, zero, 1)[0], _gap_root(c, q1, q2, 1)[0]], root1)
+    )
+    y2 = np.concatenate(
+        (corner2, [_gap_root(c, q2, zero, 2)[0], _gap_root(c, q2, q1, 2)[0], zero, q2], root2)
+    )
+    return np.clip(y1, 0.0, q1), np.clip(y2, 0.0, q2)
+
+
+def reference_equilibria(c, q1, tol):
+    """:func:`solve_equilibria` over :func:`ten_candidates`: the first
+    least-residual candidate, and the certified candidates counted unless an
+    earlier certified one lies within ``DISTINCT_TOL`` in both shares."""
+    q2 = 1.0 - q1
+    y1, y2 = ten_candidates(c, q1, q2)
+    residual = max_residual(c, q1 - y1, y1, q2 - y2, y2)
+    certified = residual <= tol
+    count = np.zeros(q1.shape, dtype=int)
+    for k in range(len(y1)):
+        seen = np.zeros(q1.shape, dtype=bool)
+        for j in range(k):
+            seen |= (
+                certified[j]
+                & (np.abs(y1[j] - y1[k]) <= DISTINCT_TOL)
+                & (np.abs(y2[j] - y2[k]) <= DISTINCT_TOL)
+            )
+        count += certified[k] & ~seen
+    best = np.argmin(residual, axis=0)
+    rows = np.arange(q1.size)
+    return y1[best, rows], y2[best, rows], residual[best, rows], count
+
 
 class TestSolveEquilibria:
     @settings(max_examples=200)
@@ -424,6 +489,27 @@ class TestSolveEquilibria:
                 np.abs(y2[:, i] - report.flow.xb2) <= 1e-9
             )
             assert np.any(certified[:, i] & near)
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.0])
+    @settings(max_examples=300)
+    @given(c=st.one_of(coefficients, degenerate_coefficients()), q1=edge_demand_arrays)
+    def test_matches_ten_candidate_reference(self, tol, c, q1):
+        # Bit for bit, the sign of a zero residual included.
+        mine = solve_equilibria(c, q1, tol)
+        reference = reference_equilibria(c, q1, tol)
+        for got, want in zip(mine, reference):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300)
+    @given(c=st.one_of(coefficients, degenerate_coefficients()), q1=edge_demand_arrays)
+    def test_box_corners_are_never_equilibria(self, c, q1):
+        # A link all on its bifurcating lane leaves its feed lane empty at
+        # cost 0; with both links on their feed lanes both bifurcating lanes
+        # cost 0.  Either way a populated class gains by switching.
+        q2 = 1.0 - q1
+        y1, y2 = box_corners(q1, q2)
+        assert np.all(max_residual(c, q1 - y1, y1, q2 - y2, y2) > 0.0)
 
     def test_symmetric_demand_quadratic_root(self):
         xb1, xb2, residual, count = solve_equilibria(CAL_VAL, np.array([0.5]), 1e-12)
