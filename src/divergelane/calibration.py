@@ -27,10 +27,8 @@ Two solvers share that encoding:
   when HiGHS closes the search within ``MILP_NODE_LIMIT`` branch-and-bound
   nodes, and its best fit so far otherwise.
 * :func:`calibrate_search` — a seeded multi-start coordinate (compass)
-  search, with no pattern move, whose restarts run in lockstep, each step
-  scoring every live restart's next trials, as far ahead as a fixed trial
-  budget allows, in one batched objective call; scalable to any size but
-  only a heuristic certificate.
+  search, with no pattern move; scalable to any size but only a heuristic
+  certificate.
 """
 
 from __future__ import annotations
@@ -311,13 +309,13 @@ def _condition_matrix(a: np.ndarray, space: _VariableSpace) -> np.ndarray:
     return np.stack(_linear_rows(residual_products, a, space), 1).reshape(-1, len(space.names))
 
 
-def _recover_coefficients(z: np.ndarray, space: _VariableSpace) -> CostCoefficients:
-    """Coefficients of linearized values ``z``: each rate clipped to its
+def _recover_parameters(z: np.ndarray, space: _VariableSpace) -> np.ndarray:
+    """Parameters of linearized values ``z``: each rate clipped to its
     bounds, each factor product divided by the clipped ``cb``, then clipped."""
     theta = np.clip(z, space.lo, space.hi)
     f = space.factor
     theta[f] = np.clip(z[f] / theta[space.rate], space.lo[f], space.hi[f])
-    return space.coefficients(theta)
+    return theta
 
 
 def _result(
@@ -446,7 +444,7 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
         )
     if result.x is None:
         raise ConfigurationError(f"the calibration MILP has no solution: {result.message}")
-    coefficients = _recover_coefficients(result.x[: len(space.names)], space)
+    coefficients = space.coefficients(_recover_parameters(result.x[: len(space.names)], space))
     return _result(coefficients, data, opts.epsilon, math.ceil(result.mip_dual_bound - 1e-6))
 
 
@@ -471,7 +469,8 @@ def _objectives(theta: np.ndarray, arrays: np.ndarray, space: _VariableSpace, ep
 def _least_squares_start(a: np.ndarray, space: _VariableSpace) -> np.ndarray | None:
     """Deterministic start: fit the interior cost-equality rows in the
     linearized space and rescale onto the admissible box (the equilibrium
-    conditions are scale-invariant, so only the ray direction matters)."""
+    conditions are scale-invariant, so only the ray direction matters); the
+    parameters are recovered inside the box."""
     tiny = 1e-9
     # Point-major rows (link 1, then link 2) of the links whose two classes
     # are both populated.
@@ -504,9 +503,7 @@ def _least_squares_start(a: np.ndarray, space: _VariableSpace) -> np.ndarray | N
     theta *= np.max(space.lo[rates] / theta[rates])
     if np.any(theta[rates] > space.hi[rates]):
         return None
-    f = space.factor
-    theta[f] = np.clip(theta[f] / theta[space.rate], space.lo[f], space.hi[f])
-    return theta
+    return _recover_parameters(theta, space)
 
 
 # The schedule reaches well below the counting margin's width in
@@ -518,62 +515,61 @@ _STEP_FRACTIONS = (
 )
 
 
-#: Trials :func:`calibrate_search` may score per step, in sweeps (one trial
+#: Trials :func:`_lockstep_refine` may score per step, in sweeps (one trial
 #: per move), split evenly among the live restarts; each gets at least half a
-#: sweep, spent on walking its current move and on walks along at most a
-#: sweep of later moves.  It sets how far ahead a restart looks, never which
-#: trial it takes, so no fit depends on it.
+#: sweep.  It sets how far ahead a restart looks, never which trial it takes,
+#: so no fit depends on it.
 _LOOKAHEAD = 16
 
-
-def _chain_tables(last: int, length: int) -> tuple[np.ndarray, ...]:
-    """Where a restart stands after ``t`` moves of its sweep if every trial
-    on the way fails, for each ``(stop, again)``.
-
-    The sweep's untried moves end at ``stop``.  A sweep that improved is
-    followed at the same step by one more whose first ``again`` moves are new
-    trials (0: none, and the step shrinks at once); its later moves would
-    repeat trials known to fail from the same point, so the chain skips
-    them.  Returns, flat over ``(stop * last + again) * length + t``, the
-    step-fraction increment, the sweep kind (0 same, 1 next, 2 first of the
-    next fraction), the move, and the new ``stop`` and ``again``.
-    """
-    stop, again, t = np.ix_(np.arange(last + 1), np.arange(last), np.arange(length))
-    u = t - stop - again
-    in_sweep, repeat = t < stop, u < 0
-    tables = (
-        np.maximum(u // last + 1, 0),
-        np.where(in_sweep, 0, np.where(repeat, 1, 2)),
-        np.where(in_sweep, t, np.where(repeat, t - stop, u % last)),
-        np.where(in_sweep, stop, np.where(repeat, again, last)),
-        np.where(in_sweep, again, 0),
-    )
-    shape = np.broadcast_shapes(stop.shape, again.shape, t.shape)
-    return tuple(np.broadcast_to(table, shape).ravel() for table in tables)
+#: Sweeps a restart may run at one step fraction before the step shrinks.
+_MAX_SWEEPS = 40
 
 
 def _lockstep_refine(
     starts: np.ndarray, arrays: np.ndarray, space: _VariableSpace, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each start refined by the coordinate search, and its objective, with the
-    restarts run in lockstep (see :func:`calibrate_search`); rows past the
-    first start to reach the zero objective are not run."""
+    """Each start refined by the coordinate search, and its objective; rows
+    past the first start to reach the zero objective are not run.
+
+    A lone restart runs, at each of ``_STEP_FRACTIONS`` of the box's span in
+    turn, up to ``_MAX_SWEEPS`` sweeps of the moves, one up and one down
+    each parameter.  A move walks from the restart's point for as long as
+    each step improves the objective; a sweep that improves nothing ends the
+    step fraction.
+
+    The restarts run in lockstep, one row each, and every step scores the
+    trials of all rows in one :func:`_objectives` call.  A row scores the
+    trials its lone restart would make next if each failed: the walk along
+    its current move, then the first points of up to a sweep of its next
+    moves, each with a walk of its own.  That chain of moves runs on past
+    the end of the sweep and of the step fraction, and skips a sweep's moves
+    that would repeat trials known to fail from the same point.  The row
+    keeps the walk of the first of those moves whose first point is better,
+    as the lone restart would, or moves past every move it tried.  How far a
+    row looks comes from ``_LOOKAHEAD`` sweeps' worth of trials per step,
+    split evenly among the live rows, and never changes the result.  A row
+    that reaches the zero objective retires at once with every row above
+    it.  Restarts join in index order, two at first and twice as many every
+    second step.
+    """
     lo, hi = space.lo, space.hi
     nf = len(_STEP_FRACTIONS)
     moves = np.arange(2 * lo.shape[0])
     dims, last = moves // 2, len(moves)
-    # A row looks at most one sweep past its current move.
-    length = 2 * last + 2
-    t_fraction, t_kind, t_move, t_stop, t_again = _chain_tables(last, length)
-    # Move j steps dimension j // 2 up (j even) or down; past the last fraction
+    # Move j steps dimension j // 2 up (j even) or down.  A row looks at most
+    # ``ahead`` moves past its current one, which comes before its stop, so
+    # its chain ends at most ``ahead - 1`` moves past the stop, and at most
+    # ``(ahead - 1) // last + 1`` step fractions on.  Past the last fraction
     # the step is 0, so such a trial repeats its point and fails.
-    offsets = np.zeros((nf + 4, last))
+    ahead = last + 1
+    offsets = np.zeros((nf + (ahead - 1) // last + 1, last))
     offsets[:nf] = np.array(_STEP_FRACTIONS)[:, None] * (hi - lo)[dims] * (1.0 - 2 * (moves % 2))
     lex = np.array((4.0, 2.0, 1.0))
     thetas, values = starts.copy(), np.zeros((len(starts), 3))
     # Per live row: its restart, point, objective and position (step-fraction
-    # index, sweep, move, stop, again, and how far to walk the move).
-    restart, theta, value, pos = moves[:0], thetas[:0], values[:0], np.zeros((6, 0), int)
+    # index, sweep, move, where its untried moves stop, counted from the
+    # start of the sweep, and how far to walk the move).
+    restart, theta, value, pos = moves[:0], thetas[:0], values[:0], np.zeros((5, 0), int)
     admitted, end, capacity, steps = 0, len(starts), 2, 0
     while admitted < end or len(restart):
         new = np.arange(admitted, min(end, admitted + capacity - len(restart)))
@@ -582,7 +578,7 @@ def _lockstep_refine(
                 (restart, new), (theta, thetas[new]),
                 (value, _objectives(thetas[new], arrays, space, epsilon))))
             # A new row stands before the first move of its first sweep.
-            pos = np.concatenate((pos, np.tile([[0], [0], [0], [last], [0], [1]], len(new))), 1)
+            pos = np.concatenate((pos, np.tile([[0], [0], [0], [last], [1]], len(new))), 1)
             admitted += len(new)
         done = (zero := ~value.any(axis=1)) | (pos[0] >= nf)
         if done.any():
@@ -599,18 +595,25 @@ def _lockstep_refine(
             capacity = min(2 * capacity, len(starts))
         # Each row walks its current move up to ``reach`` points (slots before
         # ``lw``), then tries R points along each of the next H moves of its
-        # chain (slots ``lw + g * R + j``), all from its point.
+        # chain (slots ``lw + (g - 1) * R + j`` for the g-th), all from its point.
         n = len(theta)
         share = max(last // 2, _LOOKAHEAD * last // n)
         R = max(1, math.isqrt(share) // 2)
-        H = min(share // R - 1, last)
-        fraction, sweep, move, stop, again, reach = pos
+        H = min(share // R - 1, ahead - 1)
         m = np.arange(n)
-        base = (stop * last + again) * length + move
-        at = base[:, None] + np.arange(H + 2)
-        dim = dims[t_move[at]]
-        step = offsets[fraction[:, None] + t_fraction[at], t_move[at]]
-        reach = np.minimum(reach, share)
+        # The row's position k moves on (column k) if every trial on the way
+        # fails.  Its untried moves run to ``stop``; those from ``last`` on are
+        # the next sweep's, at the same step fraction.  Past ``stop`` the step
+        # shrinks, and a whole sweep of each later fraction fails in turn.
+        fraction, _, move, stop = pos[:4, :, None]
+        t = move + np.arange(H + 2)
+        u = t - stop
+        past = u >= 0
+        fractions = fraction + np.maximum(u // last + 1, 0)
+        chain = np.where(past, u, t) % last
+        dim = dims[chain]
+        step = offsets[fractions, chain]
+        reach = np.minimum(pos[4], share)
         lw = max(1, int(reach.max()))
         walk0 = np.empty((n, lw + 1))
         walk0[:, 0] = theta[m, dim[:, 0]]
@@ -635,31 +638,31 @@ def _lockstep_refine(
         before = np.concatenate((value[:, None], trial_values[:, :-1]), 1)
         before[:, lw::R] = value[:, None]
         better = (np.sign(trial_values - before) @ lex < 0) & scored
-        walked0 = np.logical_and.accumulate(better[:, :lw], 1).sum(1)
-        walked_later = np.logical_and.accumulate(better[:, lw:].reshape(n, H, R), 2).sum(2)
-        # A row keeps its walk if the first point is better, else the walk of
-        # the first later move whose first point is.
-        g = (walked_later > 0).argmax(1)
-        walked1 = walked_later[m, g]
-        on0 = walked0 > 0
-        take = on0 | (walked1 > 0)
-        slot = np.where(on0, walked0 - 1, lw + g * R + walked1 - 1)
-        r, slot = m[take], slot[take]
+        # How far the row walked each move of its chain, the current one first.
+        runs = np.logical_and.accumulate
+        walked = np.column_stack(
+            (runs(better[:, :lw], 1).sum(1), runs(better[:, lw:].reshape(n, H, R), 2).sum(2)))
+        g = (walked > 0).argmax(1)
+        walked, points = walked[m, g], np.where(g, R, reach)
+        take = walked > 0
+        r, slot = m[take], (np.where(g, lw + (g - 1) * R, 0) + walked - 1)[take]
         theta[r, slot_dim[r, slot]] = coords[r, slot]
         value[r] = trial_values[r, slot]
         # The row moves to the move it walked, now improved, or past every
-        # move it tried.  A walk that took all its points goes on twice as far;
-        # one that stopped short leaves nothing to try on its move.
-        c = base + np.where(on0, 0, np.where(take, g + 1, H + 1))
-        kind, move = t_kind[c], t_move[c]
-        sweep = np.where(kind == 0, sweep, np.where(kind == 1, sweep + 1, 0))
-        length_taken = np.where(on0, reach, R)
-        full = np.where(on0, walked0, walked1) == length_taken
+        # move it tried.  After an improvement the untried moves are the rest
+        # of the sweep and, within ``_MAX_SWEEPS``, the next sweep's moves
+        # before this one: its later ones would repeat trials known to fail
+        # from the same point.  A walk that took all its points goes on twice
+        # as far; one that stopped short leaves nothing to try on its move.
+        k = m, np.where(take, g, H + 1)
+        t, past, move = t[k], past[k], chain[k]
+        next_sweep = t // last  # before ``stop``, 1 on the next sweep's moves
+        sweep = np.where(past, 0, pos[1] + next_sweep)
+        stop = np.where(past, last, pos[3] - last * next_sweep)
         pos = np.array((
-            fraction + t_fraction[c], sweep, move,
-            np.where(take, last, t_stop[c]),
-            np.where(take, move * (sweep < 39), t_again[c]),
-            np.where(take, 2 * length_taken * full, R),
+            fractions[k], sweep, move,
+            np.where(take, last + move * (sweep + 1 < _MAX_SWEEPS), stop),
+            np.where(take, 2 * points * (walked == points), R),
         ))
     return thetas, values
 
@@ -672,23 +675,9 @@ def calibrate_search(
     Runs ``opts.restarts`` starts (one deterministic least-squares seed plus
     random box samples) through a coordinate (compass) search, returning the
     lexicographically best outcome; deterministic for a fixed seed and never
-    worse than the best raw start point.
-
-    The restarts run in lockstep, one row each, and every step scores the
-    trials of all rows in one :func:`_objectives` call.  A row scores the
-    trials its lone restart would make next if each failed: the walk along
-    its current move, then the first points of up to a sweep of its next
-    moves, each with a walk of its own.  The scan runs on past the end of the
-    sweep and of the step fraction, as the row's sweep state dictates, and
-    skips a sweep's moves that would repeat trials known to fail from the
-    same point.  The row takes the first better point and its walk, as the
-    lone restart would, or moves past every move it tried.  How far a row
-    looks comes from ``_LOOKAHEAD`` sweeps' worth of trials per step split
-    evenly among the live rows, at least half a sweep each; it never changes
-    the result.  That is the result of the restarts run one by one up to the
-    first, in index order, to reach the zero objective; such a row retires at
-    once with every row above it.  Restarts join in index order, two at first
-    and twice as many every second step.
+    worse than the best raw start point.  The result is that of the restarts
+    run one by one, in index order, up to the first to reach the zero
+    objective; :func:`_lockstep_refine` runs them in lockstep.
     """
     if len(data) == 0:
         raise ValueError("data must be non-empty")
@@ -698,7 +687,7 @@ def calibrate_search(
     rng = np.random.default_rng(opts.seed)
 
     ls = _least_squares_start(arrays, space)
-    first = 0.5 * (lo + hi) if ls is None else np.clip(ls, lo, hi)
+    first = 0.5 * (lo + hi) if ls is None else ls
     starts = np.vstack((first, lo + rng.random((opts.restarts - 1, lo.shape[0])) * (hi - lo)))
     thetas, values = _lockstep_refine(starts, arrays, space, opts.epsilon)
 

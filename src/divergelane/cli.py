@@ -17,7 +17,6 @@ from .calibration import CalibrationOptions, calibrate_exact, calibrate_search
 from .datagen import SimulationConfig, generate_dataset
 from .equilibrium import SolverOptions, solve_equilibria
 from .fileio import (
-    ParseError,
     format_coefficients,
     load_coefficients,
     load_dataset,
@@ -275,7 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

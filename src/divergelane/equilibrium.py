@@ -98,6 +98,16 @@ def _gap_root(c: CostCoefficients, q_i, x_j_b, link: int):
     return (cf * q_i - c.cb * c.cross_factor(link) * x_j_b) / denominator, denominator
 
 
+def _checked_gap_root(c: CostCoefficients, q_i: float, x_j_b: float, link: int):
+    """:func:`_gap_root` for one link, both shares finite and non-negative."""
+    _check_link(link)
+    if not 0.0 <= q_i < math.inf:
+        raise ValueError(f"q_i must be finite and non-negative, got {q_i!r}")
+    if not 0.0 <= x_j_b < math.inf:
+        raise ValueError(f"x_j_b must be finite and non-negative, got {x_j_b!r}")
+    return _gap_root(c, q_i, x_j_b, link)
+
+
 def best_response(c: CostCoefficients, q_i: float, x_j_b: float, link: int) -> float:
     """Bifurcating share of ``link`` that equalizes its two lane costs.
 
@@ -106,12 +116,7 @@ def best_response(c: CostCoefficients, q_i: float, x_j_b: float, link: int) -> f
     dominates.  An empty feed lane costs 0, so the root never exceeds
     ``q_i``: the all-bifurcating clip is reached only through rounding.
     """
-    _check_link(link)
-    if not 0.0 <= q_i < math.inf:
-        raise ValueError(f"q_i must be finite and non-negative, got {q_i!r}")
-    if not 0.0 <= x_j_b < math.inf:
-        raise ValueError(f"x_j_b must be finite and non-negative, got {x_j_b!r}")
-    root, _ = _gap_root(c, q_i, x_j_b, link)
+    root, _ = _checked_gap_root(c, q_i, x_j_b, link)
     return min(max(root, 0.0), q_i)
 
 
@@ -122,12 +127,7 @@ def best_response_slope(c: CostCoefficients, q_i: float, x_j_b: float, link: int
     ``(0, q_i)``); at a boundary the response is locally constant and a
     :class:`BoundaryBranchError` is raised instead of returning 0.
     """
-    _check_link(link)
-    if not 0.0 <= q_i < math.inf:
-        raise ValueError(f"q_i must be finite and non-negative, got {q_i!r}")
-    if not 0.0 <= x_j_b < math.inf:
-        raise ValueError(f"x_j_b must be finite and non-negative, got {x_j_b!r}")
-    root, denominator = _gap_root(c, q_i, x_j_b, link)
+    root, denominator = _checked_gap_root(c, q_i, x_j_b, link)
     if root <= 0.0 or root >= q_i:
         raise BoundaryBranchError(
             f"best response for link {link} at x_j_b={x_j_b!r} is at a boundary "
@@ -149,22 +149,28 @@ def _interior_roots(c: CostCoefficients, q1: np.ndarray, q2: np.ndarray):
     substitution solves for the share whose line coefficient is smaller in
     magnitude, so the back-substitution divides by the larger one (never 0
     unless the line vanishes, in which case the roots are the origin).
+
+    The roots do not depend on the rates' common scale, but the quadratic's
+    discriminant is quartic in them, so the rates are first scaled below 1
+    by a power of two, which is exact.
     """
-    A1 = c.cf1 + c.cb * c.lambda1
-    A2 = c.cf2 + c.cb * c.lambda2
-    a1 = c.cb * c.mu2 - A1
-    a2 = A2 - c.cb * c.mu1
-    d = c.cf2 * q2 - c.cf1 * q1
+    e = math.frexp(max(c.cf1, c.cf2, c.cb, c.nu))[1]
+    cf1, cf2, cb, nu = (math.ldexp(rate, -e) for rate in (c.cf1, c.cf2, c.cb, c.nu))
+    A1 = cf1 + cb * c.lambda1
+    A2 = cf2 + cb * c.lambda2
+    a1 = cb * c.mu2 - A1
+    a2 = A2 - cb * c.mu1
+    d = cf2 * q2 - cf1 * q1
     if a1 == 0.0 and a2 == 0.0:
         zero = np.zeros((2, q1.size))
         return zero, zero
     swap = abs(a1) > abs(a2)
     if swap:
-        a_own, a_other, A_own, cfq, cb_mu = a2, a1, A2, c.cf2 * q2, c.cb * c.mu2
+        a_own, a_other, A_own, cfq, cb_mu = a2, a1, A2, cf2 * q2, cb * c.mu2
     else:
-        a_own, a_other, A_own, cfq, cb_mu = a1, a2, A1, c.cf1 * q1, c.cb * c.mu1
-    a = c.nu * a_own
-    b = cb_mu * a_own - a_other * A_own - c.nu * d
+        a_own, a_other, A_own, cfq, cb_mu = a1, a2, A1, cf1 * q1, cb * c.mu1
+    a = nu * a_own
+    b = cb_mu * a_own - a_other * A_own - nu * d
     k = a_other * cfq - cb_mu * d
     # Cancellation-free roots k/h and h/a.  A discriminant below 0 leaves
     # no real root and is read as 0 (a rounded double root); certification
@@ -217,8 +223,13 @@ def solve_equilibria(
     largest residual product (the first in candidate order on a tie, so
     output is deterministic), that residual, and the number of distinct
     certified equilibria, counting candidates within ``DISTINCT_TOL`` in
-    both shares as one.  A row with ``count == 0`` did not certify; it
-    still holds its least-residual candidate.
+    both shares as one.  ``count`` counts distinct certified candidates, so
+    a continuum of equilibria (``a1 = a2 = d = 0`` in
+    :func:`_interior_roots`) counts only as its edge points.  A row with
+    ``count == 0`` did not certify; it still holds its least-residual
+    candidate.  Scaling all four rates and ``tol`` by a power of two leaves
+    the splits and ``count`` unchanged and scales the residuals exactly, as
+    long as no cost overflows or underflows.
     """
     q1 = np.asarray(q1, dtype=float)
     if q1.ndim != 1 or not np.all((q1 >= 0.0) & (q1 <= 1.0)):

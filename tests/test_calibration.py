@@ -825,6 +825,21 @@ class TestCalibrateSearch:
         assert result == reference_search(data, opts)
         assert result.coefficients == space.coefficients(zero0)
 
+    def test_empty_data_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            calibrate_search([], CalibrationOptions())
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_no_interior_link_starts_at_the_box_centre(self, symmetry):
+        # Every link has one class empty, so no cost-equality row exists.
+        data = [
+            DataPoint(DemandConfig(0.4, 0.6), FlowDistribution(0.4, 0.0, 0.0, 0.6)),
+            DataPoint(DemandConfig(0.7, 0.3), FlowDistribution(0.0, 0.7, 0.3, 0.0)),
+        ]
+        opts = CalibrationOptions(symmetry=symmetry, restarts=3, seed=4)
+        assert _least_squares_start(_data_arrays(data), _variable_space(opts)) is None
+        assert calibrate_search(data, opts) == reference_search(data, opts)
+
     def test_deterministic_given_seed(self):
         data = noiseless_protocol_dataset()
         opts = CalibrationOptions(symmetry=True, restarts=25, seed=9)

@@ -295,6 +295,23 @@ class TestRanges:
         assert err.startswith("error:") and f"more than {MAX_RANGE_POINTS} points" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["sweep", "--range", "0.3:0.5", "--step", "0"], "step must be > 0"),
+            (["generate", "--sweep", "1150:1850"], "expected START:STOP:STEP"),
+        ],
+    )
+    def test_malformed_range_exits_1(self, capsys, tmp_path, coeffs_file, command, message):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, [command[0], "--coeffs", coeffs_file, *command[1:], "--out", out_path]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert not out_path.exists()
+
     def test_last_point_clamped_to_stop(self, capsys, tmp_path, coeffs_file):
         # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, past STOP.
         out_path = tmp_path / "x.csv"
@@ -605,6 +622,14 @@ class TestVerify:
             assert out.splitlines() == expected
             outputs.append(out)
         assert "1,-0.0,true" in outputs[0]
+
+    def test_header_only_dataset_exits_1(self, capsys, tmp_path, coeffs_file):
+        path = tmp_path / "empty.csv"
+        path.write_text("k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph\n")
+        code, out, err = run(capsys, ["verify", "--coeffs", coeffs_file, "--data", path])
+        assert code == 1
+        assert out == ""
+        assert "no rows" in err
 
     def test_misnumbered_row_exits_1(self, capsys, tmp_path, coeffs_file):
         path = tmp_path / "k.csv"

@@ -1,8 +1,10 @@
 """Best response, fixed-point solver, grid oracle, and slope properties."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divergelane import (
@@ -24,7 +26,7 @@ from divergelane import (
     solve_grid_oracle,
 )
 from divergelane.equilibrium import DISTINCT_TOL, _candidate_splits, _gap_root, _interior_roots
-from divergelane.model import max_residual
+from divergelane.model import RATE_NAMES, max_residual
 
 from conftest import CAL_VAL, coefficients, random_uniqueness_instance
 
@@ -157,6 +159,12 @@ class TestSolveFixedPoint:
         assert report.iterations == 2
         assert report.residuals.max_residual > 0
 
+    @pytest.mark.parametrize("initial", [(-0.1, 0.2), (0.6, 0.2), (0.2, 0.6)])
+    def test_initial_outside_box_rejected(self, initial):
+        g = DivergeInstance(DemandConfig(0.5, 0.5), CAL_VAL)
+        with pytest.raises(ValueError, match="outside"):
+            solve_fixed_point(g, initial=initial)
+
     def test_initialization_independence(self):
         rng = np.random.default_rng(17)
         g = random_uniqueness_instance(rng)
@@ -240,6 +248,16 @@ class TestGridOracle:
             oracle_flow = solve_grid_oracle(g, 1e-3)
             assert abs(oracle_flow.xb1 - report.flow.xb1) <= 2e-3
             assert abs(oracle_flow.xb2 - report.flow.xb2) <= 2e-3
+
+    @pytest.mark.parametrize("q1", [0.0, 1.0])
+    def test_single_destination(self, q1):
+        # The empty link's axis is the one point 0.
+        g = DivergeInstance(DemandConfig(q1, 1.0 - q1), CAL_VAL)
+        flow = solve_grid_oracle(g, 1e-3)
+        report = solve_fixed_point(g)
+        assert (flow.xb1 if q1 == 0.0 else flow.xb2) == 0.0
+        assert abs(flow.xb1 - report.flow.xb1) <= 2e-3
+        assert abs(flow.xb2 - report.flow.xb2) <= 2e-3
 
     def test_bad_resolution(self):
         g = DivergeInstance(DemandConfig(0.5, 0.5), CAL_VAL)
@@ -474,6 +492,9 @@ def reference_equilibria(c, q1, tol):
 class TestSolveEquilibria:
     @settings(max_examples=200)
     @given(c=st.one_of(coefficients, degenerate_coefficients()), q1=demand_arrays)
+    # Both line coefficients 0.  At q1 = 0.5, d = 0 too and the equilibria
+    # form a continuum, where the fixed point need not land on a candidate.
+    @example(c=CostCoefficients(0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0), q1=np.array([0.3]))
     def test_against_fixed_point(self, c, q1):
         xb1, xb2, residual, count = solve_equilibria(c, q1, 1e-12)
         assert np.all(residual <= 1e-12)
@@ -535,6 +556,24 @@ class TestSolveEquilibria:
             )
         }
         assert len(found) == 3
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 600])
+    def test_rates_scaled_by_a_power_of_two(self, k):
+        # Rates, costs, residuals and the tolerance all scale exactly; the
+        # interior quadratic's discriminant, quartic in the rates, is what
+        # would overflow or underflow.
+        q1 = np.concatenate((np.linspace(0.0, 1.0, 101), [1e-15, 1e-9, 1.0 - 1e-15, 1.0 - 1e-9]))
+        non_unique = CostCoefficients(2.6, 0.5, 5.0, 0.6, 0.05, 0.8, 1.0, 18.0)
+        for c in (CAL_VAL, non_unique):
+            rates = {name: math.ldexp(getattr(c, name), k) for name in RATE_NAMES}
+            scaled = CostCoefficients(**{**vars(c), **rates})
+            xb1, xb2, residual, count = solve_equilibria(c, q1, 1e-12)
+            got = solve_equilibria(scaled, q1, math.ldexp(1e-12, k))
+            assert got[0].tobytes() == xb1.tobytes()
+            assert got[1].tobytes() == xb2.tobytes()
+            assert got[2].tobytes() == np.ldexp(residual, k).tobytes()
+            assert got[3].tolist() == count.tolist()
+            assert count.max() == (3 if c is non_unique else 1)
 
     def test_deterministic_and_row_independent(self):
         q1 = np.linspace(0.0, 1.0, 41)

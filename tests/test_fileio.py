@@ -136,6 +136,17 @@ class TestCoefficients:
         with pytest.raises(ParseError, match="line 1"):
             parse_coefficients("cf1 = one\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cf1 = 1.0\ncf2 1.0\n", "^line 2: expected 'key = value', got 'cf2 1.0'$"),
+            ("symmetry = yes\n", "^line 1: symmetry must be true or false, got 'yes'$"),
+        ],
+    )
+    def test_malformed_line_with_line_number(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_coefficients(text)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_coefficients("cf1 = 1\ncf1 = 2\n")

@@ -268,6 +268,10 @@ class TestInvariants:
         with pytest.raises(FeasibilityError):
             FlowDistribution.from_bifurcating_shares(demand, -0.1, 0.3)
 
+    def test_second_bifurcating_share_within_demand(self):
+        with pytest.raises(FeasibilityError, match="xb2 must lie in"):
+            FlowDistribution.from_bifurcating_shares(DemandConfig(0.4, 0.6), 0.1, 0.7)
+
 
 class TestTypeValidation:
     def test_demand_must_normalize(self):
