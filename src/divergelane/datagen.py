@@ -19,11 +19,16 @@ are reproducible bit for bit.
 
 Each driver moves at most once per round, so the round's visiting order
 fixes every driver's link, round-start lane and scaled perception noise up
-front; those are built as numpy arrays per round.  The four lane costs come
-from the model's :func:`~divergelane.model.lane_costs` at the shares of the
-two integer bifurcating counts and are memoized per visited count pair, so
-the remaining scalar scan does two additions and one comparison per driver
-and one table lookup per switch.
+front; those are built as numpy arrays per round.  A driver switches iff
+the other lane's cost minus its own is below its own lane's noise minus the
+other's, the perceived-cost comparison rearranged.  The four cost
+differences come from the model's :func:`~divergelane.model.cost_gaps` at
+the shares of the two integer bifurcating counts and are memoized per
+visited count pair, so the remaining scalar scan does one lookup and one
+comparison per driver and one memo lookup per switch.  The two tests can
+decide differently only where the perceived costs agree to rounding, as at
+an exact cost tie under noise below the costs' rounding: there the
+rearranged test follows the noise, as exact arithmetic does.
 
 :func:`generate_dataset` runs the sweep's points in a process pool sized
 ``min(points, usable CPUs)``.  Each point still draws from its own generator
@@ -48,7 +53,7 @@ from .model import (
     DemandConfig,
     DivergeInstance,
     FlowDistribution,
-    lane_costs,
+    cost_gaps,
 )
 
 #: Perception-noise scale relative to the lane cost rates: the noise is
@@ -117,59 +122,52 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
 
     # The state is the pair of bifurcating counts, encoded as one integer
     # key = b1 * stride + b2.  A driver's "kind" is 2 * (link - 1) + lane
-    # (lane 0 = feed-through, 1 = bifurcating): it indexes the state's cost
-    # tuple, ``kind ^ 1`` is the other lane of the same link, and
-    # ``key_step[kind]`` moves the key when that driver switches.
+    # (lane 0 = feed-through, 1 = bifurcating): it indexes the state's
+    # advantage tuple, and ``key_step[kind]`` moves the key when that driver
+    # switches.
     stride = n2 + 1
     key_step = (stride, -stride, 1, -1)
     memo: dict[int, tuple[float, float, float, float]] = {}
 
-    # The model's lane costs at a state's shares, computed once per visited
-    # state: (feed 1, bifurcating 1, feed 2, bifurcating 2).
-    def costs_at(key: int) -> tuple[float, float, float, float]:
+    # Each kind's other-lane cost minus own-lane cost, computed once per
+    # visited state: (-gap1, gap1, -gap2, gap2) with gap = feed - bifurcating.
+    def advantage_at(key: int) -> tuple[float, float, float, float]:
         b1, b2 = divmod(key, stride)
-        costs = lane_costs(c, (n1 - b1) * inv_n, b1 * inv_n, (n2 - b2) * inv_n, b2 * inv_n)
-        memo[key] = costs
-        return costs
+        gap1, gap2 = cost_gaps(c, (n1 - b1) * inv_n, b1 * inv_n, (n2 - b2) * inv_n, b2 * inv_n)
+        memo[key] = advantage = (-gap1, gap1, -gap2, gap2)
+        return advantage
 
-    link_of = np.array([0] * n1 + [1] * n2, dtype=np.intp)  # link - 1
-    amplitude = np.array([
-        cfg.sigma * NOISE_COST_FRACTION * (c.cf1 + c.cb),
-        cfg.sigma * NOISE_COST_FRACTION * (c.cf2 + c.cb),
-    ])
+    # Per driver: the kind of its feed-through lane and its noise amplitude.
+    feed_kind = np.repeat(np.array([0, 2], dtype=np.intp), (n1, n2))
+    amplitude = cfg.sigma * NOISE_COST_FRACTION * np.repeat([c.cf1 + c.cb, c.cf2 + c.cb], (n1, n2))
     lanes = bytearray(n)
     lanes_view = np.frombuffer(lanes, dtype=np.uint8)
     noisy = cfg.sigma > 0.0
     no_noise = [0.0] * n
 
     key = 0
-    costs = costs_at(key)
+    advantage = advantage_at(key)
     for _ in range(cfg.rounds):
         order = rng.permutation(n)
         # Each driver moves at most once per round, so its lane at its turn
         # is its round-start lane.
-        link_seq = link_of[order]
         lane_seq = lanes_view[order]
-        kind_seq = 2 * link_seq + lane_seq
+        kind_seq = feed_kind[order] + lane_seq
         if noisy:
             draws = rng.uniform(-1.0, 1.0, size=2 * n)
-            amp = amplitude[link_seq]
-            noise_f = amp * draws[:n]
-            noise_b = amp * draws[n:]
-            noise_own = np.where(lane_seq, noise_b, noise_f).tolist()
-            noise_other = np.where(lane_seq, noise_f, noise_b).tolist()
+            amp = amplitude[order]
+            # A driver's spread is its own lane's noise minus the other's.
+            feed_minus_bif = amp * draws[:n] - amp * draws[n:]
+            spreads = np.where(lane_seq, -feed_minus_bif, feed_minus_bif).tolist()
         else:
-            # Adding 0.0 leaves every (finite) cost and comparison unchanged.
-            noise_own = noise_other = no_noise
+            spreads = no_noise
         switched = 0
-        for driver, kind, own, other in zip(
-            order.tolist(), kind_seq.tolist(), noise_own, noise_other
-        ):
-            # Switch only if the other lane is strictly cheaper; ties stay.
-            if costs[kind ^ 1] + other < costs[kind] + own:
+        for driver, kind, spread in zip(order.tolist(), kind_seq.tolist(), spreads):
+            # Switch only if the other lane looks strictly cheaper; ties stay.
+            if advantage[kind] < spread:
                 lanes[driver] ^= 1
                 key += key_step[kind]
-                costs = memo.get(key) or costs_at(key)
+                advantage = memo.get(key) or advantage_at(key)
                 switched += 1
         if switched == 0:
             break

@@ -329,6 +329,15 @@ class TestMatchesReference:
         if q1 == 1.0:
             assert point.flow.xb1 == 0.5
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    @pytest.mark.parametrize("d1", [1150.0, 1500.0, 1850.0])
+    def test_equals_reference_loop_at_the_cli_default_size(self, sigma, d1):
+        # The property above stops at 400 drivers; ``generate`` runs 5000.
+        cfg = SimulationConfig(sigma=sigma, seed=1)
+        q1 = d1 / cfg.total_demand_vph
+        g = DivergeInstance(DemandConfig(q1, 1.0 - q1), CAL_VAL)
+        assert simulate_steady_state(g, cfg) == reference_simulate(g, cfg)
+
     @pytest.mark.parametrize(
         "sigma, digest",
         [
@@ -347,3 +356,30 @@ class TestMatchesReference:
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_exact_tie_under_tiny_noise_follows_own_minus_other():
+    # Two drivers on link 1 with dyadic costs: whoever moves first switches,
+    # which leaves both lanes costing exactly 0.5 for the second driver.
+    # Noise of 1e-300 is far below the costs' rounding: the simulator
+    # compares the cost difference with the noise difference, so that driver
+    # switches iff its own lane's noise exceeds the other's, as in exact
+    # arithmetic.  The reference loop's perceived-cost sums round the noise
+    # away and keep the lane, as the simulator does without noise.
+    costs = CostCoefficients(1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 1.0)
+    g = DivergeInstance(DemandConfig(1.0, 0.0), costs)
+    sigma = 1e-300
+    amp = sigma * NOISE_COST_FRACTION * (costs.cf1 + costs.cb)
+    moved = []
+    for seed in range(16):
+        cfg = SimulationConfig(n_vehicles=2, sigma=sigma, rounds=1, seed=seed)
+        rng = np.random.default_rng(seed)
+        rng.permutation(2)
+        draws = rng.uniform(-1.0, 1.0, size=4)
+        own_minus_other = amp * draws[1] - amp * draws[3]
+        xb1 = simulate_steady_state(g, cfg).flow.xb1
+        assert xb1 == (1.0 if own_minus_other > 0.0 else 0.5), seed
+        assert reference_simulate(g, cfg).flow.xb1 == 0.5
+        assert simulate_steady_state(g, replace(cfg, sigma=0.0, rounds=20)).flow.xb1 == 0.5
+        moved.append(xb1 == 1.0)
+    assert any(moved) and not all(moved)
