@@ -34,7 +34,6 @@ Two solvers share that encoding:
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
 import os
 import sys
@@ -339,6 +338,8 @@ def _result(
 
 def _flush_c_stdio() -> None:
     """``fflush(NULL)``: push the C library's stdio buffers to their files."""
+    import ctypes  # only the exact solver's stdout guard needs it
+
     try:
         fflush = ctypes.CDLL(None).fflush
     except (OSError, TypeError, AttributeError):  # no C library handle here

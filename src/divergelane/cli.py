@@ -1,7 +1,9 @@
 """Command-line interface: solve, sweep, generate, calibrate, check, verify.
 
 All output is plain CSV or ``key = value`` text, deterministic for fixed
-flags and seed.
+flags and seed.  The ``calibration``, ``datagen`` and ``equilibrium`` layers
+are imported by the handlers that call them, so a command loads only those
+it runs.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationOptions, calibrate_exact, calibrate_search
-from .datagen import SimulationConfig, generate_dataset
-from .equilibrium import SolverOptions, solve_equilibria
 from .fileio import (
     format_coefficients,
     load_coefficients,
@@ -79,6 +78,8 @@ def _solve_demands(
 
     Warns once on stderr when some demand has more than one equilibrium.
     """
+    from .equilibrium import solve_equilibria
+
     xb1, xb2, residual, count = solve_equilibria(coeffs, np.array([d.q1 for d in demands]), tol)
     multiple = np.flatnonzero(count > 1)
     if multiple.size:
@@ -96,6 +97,8 @@ def _solve_demands(
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .equilibrium import SolverOptions
+
     coeffs = load_coefficients(args.coeffs)
     demand = DemandConfig(args.q1, 1.0 - args.q1)
     tol = SolverOptions(convergence_tol=args.tol).convergence_tol
@@ -110,6 +113,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .equilibrium import SolverOptions
+
     coeffs = load_coefficients(args.coeffs)
     start, stop = _parse_fields(args.range, "START:STOP")
     demands = [DemandConfig(q1, 1.0 - q1) for q1 in _range_values(start, stop, args.step)]
@@ -124,6 +129,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .datagen import SimulationConfig, generate_dataset
+
     coeffs = load_coefficients(args.coeffs)
     start, stop, step = _parse_fields(args.sweep, "START:STOP:STEP")
     demands = tuple(_range_values(start, stop, step))
@@ -139,6 +146,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from .calibration import CalibrationOptions, calibrate_exact, calibrate_search
+
     data = load_dataset(args.data)
     if not data:
         raise ValueError(f"dataset {args.data!r} contains no rows")

@@ -36,7 +36,8 @@ seeded ``seed + k``, so the output does not depend on the worker count or
 the start method.  Where the platform's default start method is spawn or
 forkserver (macOS; Linux from Python 3.14), workers re-import the calling
 script, so a script that calls it must do so under
-``if __name__ == "__main__":``.
+``if __name__ == "__main__":``.  Of this package, such a worker imports
+only this module and ``model``, plus what the calling script imports.
 """
 
 from __future__ import annotations
