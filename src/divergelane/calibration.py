@@ -15,9 +15,7 @@ with some tied together (``cf1 = cf2 = cb``, ``lambda1 = lambda2``,
 coefficient to its free parameter, the identity or the model's
 :data:`~divergelane.model.SYMMETRIC_TIE`.  Every rule of the encoding
 (bounds, condition rows, coefficient recovery, the search) is written once
-and reads that map; a tied parameter is bounded by the intersection of its
-coefficients' bounds.  Names, kinds and tie come from the model, and a
-bound box is valid when both its corners are valid ``CostCoefficients``.
+and reads that map.  Names, kinds and tie come from the model.
 
 Two solvers share that encoding:
 
@@ -39,7 +37,7 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -89,7 +87,7 @@ MILP_NODE_LIMIT = 10_000
 
 
 class ConfigurationError(ValueError):
-    """Calibration options are inconsistent (e.g. a lower bound above an upper)."""
+    """HiGHS returned no solution for the calibration MILP."""
 
 
 @dataclass(frozen=True)
@@ -99,18 +97,15 @@ class CalibrationOptions:
     ``epsilon`` is the violation-counting margin: a condition is violated
     when its product exceeds it.  Scale it to the data's noise floor: 1e-6
     suits solver-generated data, while simulator output typically needs 1e-3
-    to 1e-2.  ``lower_bounds``/``upper_bounds`` override the default
-    coefficient box (rates in [1, 10], factors in ``[FACTOR_FLOOR, 1]``);
-    both corners of the box must be admissible coefficients, as
-    :class:`~divergelane.model.CostCoefficients` checks them.  ``restarts``
-    and ``seed`` drive :func:`calibrate_search` only; the exact solver's
-    effort is bounded by the module constant ``MILP_NODE_LIMIT``.
+    to 1e-2.  Both solvers search one coefficient box,
+    ``DEFAULT_LOWER_BOUNDS`` to ``DEFAULT_UPPER_BOUNDS``: rates in [1, 10]
+    and factors in ``[FACTOR_FLOOR, 1]``.  ``restarts`` and ``seed`` drive
+    :func:`calibrate_search` only; the exact solver's effort is bounded by
+    the module constant ``MILP_NODE_LIMIT``.
     """
 
     epsilon: float = 1e-6
     symmetry: bool = False
-    lower_bounds: Mapping[str, float] | None = None
-    upper_bounds: Mapping[str, float] | None = None
     restarts: int = 200
     seed: int = 0
 
@@ -121,11 +116,6 @@ class CalibrationOptions:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for mapping in (self.lower_bounds, self.upper_bounds):
-            if mapping is not None:
-                unknown = set(mapping) - set(COEFFICIENT_NAMES)
-                if unknown:
-                    raise ValueError(f"unknown coefficient names in bounds: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -238,28 +228,12 @@ class _VariableSpace:
 
 
 def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
-    lower = {**DEFAULT_LOWER_BOUNDS, **(opts.lower_bounds or {})}
-    upper = {**DEFAULT_UPPER_BOUNDS, **(opts.upper_bounds or {})}
-    for name in COEFFICIENT_NAMES:
-        lb, ub = lower[name], upper[name]
-        if lb > ub:
-            raise ConfigurationError(f"lower bound {lb!r} exceeds upper bound {ub!r} for {name}")
-    for corner, bounds in (("lower", lower), ("upper", upper)):
-        try:
-            CostCoefficients(**bounds)
-        except ValueError as exc:
-            raise ConfigurationError(f"{corner} bound: {exc}") from None
     tie, names = _TIES[opts.symmetry]
-    lo, hi = [], []
-    for j in range(len(names)):
-        group = [name for name, t in zip(COEFFICIENT_NAMES, tie) if t == j]
-        lb, ub = max(lower[name] for name in group), min(upper[name] for name in group)
-        if lb > ub:
-            raise ConfigurationError(
-                f"symmetry-merged bounds for {'/'.join(group)} are empty: [{lb!r}, {ub!r}]"
-            )
-        lo.append(lb)
-        hi.append(ub)
+    # Tied coefficients are of one kind, so they share their bounds: each
+    # parameter takes those of the first coefficient of its group.
+    first = [COEFFICIENT_NAMES[tie.index(j)] for j in range(len(names))]
+    lo = [DEFAULT_LOWER_BOUNDS[name] for name in first]
+    hi = [DEFAULT_UPPER_BOUNDS[name] for name in first]
     factor = np.zeros(len(names), dtype=bool)
     factor[[tie[COEFFICIENT_NAMES.index(name)] for name in FACTOR_NAMES]] = True
     rate = tie[_CB]

@@ -1,9 +1,7 @@
 """Violation counting, the indicator system, and both calibration solvers."""
 
-import contextlib
 import hashlib
 import itertools
-import math
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,7 +13,6 @@ from scipy.optimize import linprog
 
 from divergelane import (
     CalibrationOptions,
-    ConfigurationError,
     CostCoefficients,
     DataPoint,
     DemandConfig,
@@ -38,7 +35,6 @@ from divergelane.calibration import (
     COEFFICIENT_NAMES,
     DEFAULT_LOWER_BOUNDS,
     DEFAULT_UPPER_BOUNDS,
-    FACTOR_NAMES,
     CalibrationResult,
     _condition_matrix,
     _data_arrays,
@@ -48,15 +44,11 @@ from divergelane.calibration import (
     _variable_space,
     linearized_values,
 )
-from divergelane.model import cost_gaps
+from divergelane.model import SYMMETRIC_TIE, cost_gaps
 
 from conftest import (
     CAL_VAL,
-    COEFFICIENT_ORDER,
     NOISY_FIVE_CSV,
-    admissible,
-    admissible_values,
-    edge_values,
     noiseless_protocol_dataset,
     noisy_protocol_grid,
     random_coefficients,
@@ -192,8 +184,6 @@ class TestCalibrationOptions:
             CalibrationOptions(epsilon=float("nan"))
         with pytest.raises(ValueError, match="restarts"):
             CalibrationOptions(restarts=0)
-        with pytest.raises(ValueError, match="unknown coefficient"):
-            CalibrationOptions(lower_bounds={"gamma": 1.0})
 
 
 class TestCountViolations:
@@ -431,61 +421,29 @@ def feasible_points(draw):
     return points
 
 
-@st.composite
-def coefficient_bounds(draw):
-    """Valid per-coefficient bounds.  Unless ``overlap`` is drawn false,
-    each tied group's intervals share a drawn point."""
-    overlap = draw(st.booleans())
-    lower, upper = {}, {}
-    for group in TIED_GROUPS:
-        floor, top = (1e-6, 1.0) if group[0] in FACTOR_NAMES else (0.01, 20.0)
-        pivot = draw(st.floats(floor, top))
-        for name in group:
-            if overlap:
-                lower[name] = draw(st.floats(floor, pivot))
-                upper[name] = draw(st.floats(pivot, top))
-            else:
-                a, b = draw(st.floats(floor, top)), draw(st.floats(floor, top))
-                lower[name], upper[name] = min(a, b), max(a, b)
-    return lower, upper
-
-
 class TestSymmetryTie:
     """Symmetry is the asymmetric encoding with tied coefficients."""
 
     @settings(max_examples=300)
     @given(
         points=feasible_points(),
-        bounds=coefficient_bounds(),
         u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
     )
-    def test_symmetric_space_is_the_tied_asymmetric_one(self, points, bounds, u):
-        lower, upper = bounds
-        merged_lo = {n: max(lower[m] for m in g) for g in TIED_GROUPS for n in g}
-        merged_hi = {n: min(upper[m] for m in g) for g in TIED_GROUPS for n in g}
-        try:
-            sym = _variable_space(
-                CalibrationOptions(symmetry=True, lower_bounds=lower, upper_bounds=upper)
-            )
-        except ConfigurationError:
-            assert any(merged_lo[n] > merged_hi[n] for n in COEFFICIENT_NAMES)
-            return
+    def test_symmetric_space_is_the_tied_asymmetric_one(self, points, u):
+        sym = _variable_space(CalibrationOptions(symmetry=True))
         assert sym.names == ("cf", "cb_lambda", "cb_mu", "nu")
         arrays = _data_arrays(points)
         # At most one entry per group is non-zero, so the sums are exact.
-        asym = _variable_space(CalibrationOptions(lower_bounds=lower, upper_bounds=upper))
+        asym = _variable_space(CalibrationOptions())
         assert np.array_equal(
             _condition_matrix(arrays, sym), sum_tied_columns(_condition_matrix(arrays, asym))
         )
-        # Box and coupling rows are those of the mirrored, merged bounds.
-        mirrored = _variable_space(
-            CalibrationOptions(lower_bounds=merged_lo, upper_bounds=merged_hi)
-        )
+        # Box and coupling rows are those of each group's first coefficient.
         first = [COEFFICIENT_NAMES.index(g[0]) for g in TIED_GROUPS]
-        assert sym.box == tuple(mirrored.box[k] for k in first)
-        assert np.array_equal(sym.lo, mirrored.lo[first])
-        assert np.array_equal(sym.hi, mirrored.hi[first])
-        coupling = sum_tied_columns(mirrored.coupling_matrix)
+        assert sym.box == tuple(asym.box[k] for k in first)
+        assert np.array_equal(sym.lo, asym.lo[first])
+        assert np.array_equal(sym.hi, asym.hi[first])
+        coupling = sum_tied_columns(asym.coupling_matrix)
         # Rows of lambda1, mu1 and of lambda2, mu2.
         assert np.array_equal(sym.coupling_matrix, coupling[[0, 1, 4, 5]])
         assert np.array_equal(sym.coupling_matrix, coupling[[2, 3, 6, 7]])
@@ -505,82 +463,22 @@ class TestSymmetryTie:
         }
 
 
-@st.composite
-def boundary_boxes(draw):
-    """``(lower, upper)`` bounds of every coefficient: an ordered admissible
-    box with up to three changes, each an edge value in either corner or a
-    coefficient's two bounds swapped."""
-    lower, upper = {}, {}
-    for name in COEFFICIENT_ORDER:
-        a, b = sorted((draw(admissible_values(name)), draw(admissible_values(name))))
-        lower[name], upper[name] = a, b
-    for _ in range(draw(st.integers(0, 3))):
-        name = draw(st.sampled_from(COEFFICIENT_ORDER))
-        change = draw(st.sampled_from(("lower", "upper", "swap")))
-        if change == "swap":
-            lower[name], upper[name] = upper[name], lower[name]
-        else:
-            (lower if change == "lower" else upper)[name] = draw(edge_values)
-    return lower, upper
+class TestDefaultBox:
+    """Both solvers search the module's one coefficient box."""
 
+    def test_corners_are_ordered_coefficients(self):
+        for corner in (DEFAULT_LOWER_BOUNDS, DEFAULT_UPPER_BOUNDS):
+            assert sorted(corner) == sorted(COEFFICIENT_NAMES)
+            CostCoefficients(**corner)
+        assert all(DEFAULT_LOWER_BOUNDS[n] <= DEFAULT_UPPER_BOUNDS[n] for n in COEFFICIENT_NAMES)
 
-def _unreachable(*args, **kwargs):
-    raise AssertionError("a solver ran on bounds that should have been rejected")
-
-
-@contextlib.contextmanager
-def solvers_disabled():
-    """Fail the test if either solver starts solving."""
-    with mock.patch.object(calibration, "_objectives", _unreachable):
-        with mock.patch("scipy.optimize.milp", _unreachable):
-            yield
-
-
-#: Bound boxes with an inadmissible corner that older bound checks let through
-#: to the solvers, which then crashed or failed inside HiGHS.
-INADMISSIBLE_BOXES = {
-    "factor-below-floor": ("lambda1", {"lower_bounds": {"lambda1": 1e-12}}),
-    "nan-rate-bound": ("nu", {"upper_bounds": {"nu": math.nan}}),
-    "infinite-rate-bound": ("nu", {"upper_bounds": {"nu": math.inf}}),
-}
-
-ONE_POINT = [DataPoint(DemandConfig(0.5, 0.5), FlowDistribution(0.25, 0.25, 0.25, 0.25))]
-
-
-class TestBoundBox:
-    """A bound box is valid exactly when it is ordered and both corners are
-    admissible coefficients, and an invalid one stops before any solve."""
-
-    @settings(max_examples=400)
-    @given(box=boundary_boxes())
-    def test_box_rejected_exactly_when_a_corner_is_inadmissible(self, box):
-        lower, upper = box
-        valid = all(
-            admissible(name, lower[name])
-            and admissible(name, upper[name])
-            and lower[name] <= upper[name]
-            for name in COEFFICIENT_ORDER
-        )
-        opts = CalibrationOptions(lower_bounds=lower, upper_bounds=upper)
-        if valid:
-            space = _variable_space(opts)
-            assert space.lo.tolist() == [lower[name] for name in COEFFICIENT_ORDER]
-            assert space.hi.tolist() == [upper[name] for name in COEFFICIENT_ORDER]
-            return
-        with pytest.raises(ConfigurationError):
-            _variable_space(opts)
-        with solvers_disabled():
-            for solver in (calibrate_exact, calibrate_search):
-                with pytest.raises(ConfigurationError):
-                    solver(ONE_POINT, opts)
-
-    @pytest.mark.parametrize("solver", [calibrate_exact, calibrate_search])
-    @pytest.mark.parametrize(
-        "name, bounds", INADMISSIBLE_BOXES.values(), ids=list(INADMISSIBLE_BOXES)
-    )
-    def test_inadmissible_box_rejected_before_solving(self, solver, name, bounds):
-        with solvers_disabled(), pytest.raises(ConfigurationError, match=name):
-            solver(ONE_POINT, CalibrationOptions(**bounds))
+    def test_tied_coefficients_share_their_bounds(self):
+        # _variable_space bounds each tied parameter by its group's first
+        # coefficient, which is exact only when the group's bounds agree.
+        for corner in (DEFAULT_LOWER_BOUNDS, DEFAULT_UPPER_BOUNDS):
+            for j in set(SYMMETRIC_TIE):
+                group = [n for n, t in zip(COEFFICIENT_NAMES, SYMMETRIC_TIE) if t == j]
+                assert len({corner[n] for n in group}) == 1, group
 
 
 class TestCalibrateExact:
@@ -600,17 +498,20 @@ class TestCalibrateExact:
 
     def test_planted_unsatisfiable_condition(self):
         # Point 2 sends link-1 demand down the bifurcating lane with an
-        # empty feed lane: its cost is at least cb*lambda1*xb1 > 0 = J_1^f
-        # for every admissible vector, so exactly that condition must be
-        # counted; everything else is consistent with the truth below.
-        truth = CostCoefficients(2.0, 2.0, 4.0, 0.6, 0.6, 0.8, 0.8, 1.2)
+        # empty feed lane: its cost is at least nu*xb1*xb2 > 0 = J_1^f, and
+        # nu >= 1 on the box keeps that product at or above 0.085, so exactly
+        # that condition must be counted.  Link 2 of point 2 splits at the
+        # truth's equal costs, 10*xf2 = 0.5*(xb2 + 0.4) + 0.4*xb2, and point
+        # 1 is the truth's equilibrium.
+        truth = CostCoefficients(2.0, 10.0, 1.0, 0.5, 0.5, 0.5, 0.5, 1.0)
         good = equilibrium_point(truth, 0.5)
+        xb2 = (10.0 * 0.6 - 0.5 * 0.4) / (10.0 + 0.5 + 0.4)
         bad = DataPoint(
             demand=DemandConfig(0.4, 0.6),
-            flow=FlowDistribution(0.0, 0.4, 0.6, 0.0),
+            flow=FlowDistribution(0.0, 0.4, 0.6 - xb2, xb2),
         )
         data = [good, bad]
-        opts = CalibrationOptions(lower_bounds={"lambda1": 0.1})
+        opts = CalibrationOptions()
         assert count_violations(truth, data, opts.epsilon).count == 1
         result = calibrate_exact(data, opts)
         assert result.violations == 1
@@ -695,12 +596,6 @@ class TestCalibrateExact:
         result = calibrate_exact(NOISY_FIVE, opts)
         assert result.certificate == "heuristic"
         assert result.violations == count_violations(result.coefficients, NOISY_FIVE, 1e-3).count
-
-    def test_infeasible_bounds_rejected(self):
-        data = [equilibrium_point(CAL_VAL, 0.5)]
-        opts = CalibrationOptions(lower_bounds={"cf1": 5.0}, upper_bounds={"cf1": 2.0})
-        with pytest.raises(ConfigurationError, match="cf1"):
-            calibrate_exact(data, opts)
 
     def test_uniqueness_recorded(self):
         data = noiseless_protocol_dataset()
