@@ -30,14 +30,16 @@ decide differently only where the perceived costs agree to rounding, as at
 an exact cost tie under noise below the costs' rounding: there the
 rearranged test follows the noise, as exact arithmetic does.
 
-:func:`generate_dataset` runs the sweep's points in a process pool sized
-``min(points, usable CPUs)``.  Each point still draws from its own generator
-seeded ``seed + k``, so the output does not depend on the worker count or
-the start method.  Where the platform's default start method is spawn or
-forkserver (macOS; Linux from Python 3.14), workers re-import the calling
-script, so a script that calls it must do so under
-``if __name__ == "__main__":``.  Of this package, such a worker imports
-only this module and ``model``, plus what the calling script imports.
+:func:`generate_dataset` splits the sweep into ``min(points, usable CPUs)``
+strided shares: the calling process simulates the first, and one worker
+process per other share sends its points back over a pipe.  Each point
+still draws from its own generator seeded ``seed + k``, so the output does
+not depend on the worker count or the start method.  Where the platform's
+default start method is spawn or forkserver (macOS; Linux from Python
+3.14), workers re-import the calling script, so a script that calls it must
+do so under ``if __name__ == "__main__":``.  Of this package, such a worker
+imports only this module and ``model``, plus what the calling script
+imports.
 """
 
 from __future__ import annotations
@@ -188,19 +190,37 @@ def _simulate_point(
     return simulate_steady_state(instance, replace(cfg, seed=cfg.seed + k))
 
 
+def _simulate_share(
+    c_true: CostCoefficients, cfg: SimulationConfig, share: int, shares: int
+) -> list[DataPoint]:
+    """The sweep points ``share, share + shares, ...``, in sweep order."""
+    sweep = cfg.demand_sweep
+    return [_simulate_point(c_true, cfg, k, sweep[k]) for k in range(share, len(sweep), shares)]
+
+
+def _send_share(
+    sender, c_true: CostCoefficients, cfg: SimulationConfig, share: int, shares: int
+) -> None:
+    """Worker body: send the share's points, or the exception that stopped it."""
+    try:
+        result: list[DataPoint] | Exception = _simulate_share(c_true, cfg, share, shares)
+    except Exception as exc:
+        result = exc
+    sender.send(result)
+
+
 def generate_dataset(c_true: CostCoefficients, cfg: SimulationConfig) -> list[DataPoint]:
     """One simulated data point per sweep entry, seeded as ``seed + k``.
 
-    The points run in a process pool of ``min(points, usable CPUs)``
-    workers and come back in sweep order.  A point's result depends only on
-    its own seed, so the output does not depend on the worker count or the
-    start method.  Where that method is spawn or forkserver (macOS; Linux
-    from Python 3.14), call this under ``if __name__ == "__main__":``.
+    The calling process simulates the first of ``min(points, usable CPUs)``
+    strided shares and one worker process per other share sends back the
+    rest; no process is started for one share.  A worker's exception is
+    raised here, as is ``RuntimeError`` for a worker that exits without
+    sending, and no worker outlives the call.  The output does not depend on
+    the worker count or the start method.  Where that method is spawn or
+    forkserver (macOS; Linux from Python 3.14), call this under
+    ``if __name__ == "__main__":``.
     """
-    # Imported here, not at module top: the pool machinery would add to
-    # every CLI start, and only ``generate`` needs it.
-    import concurrent.futures
-
     sweep = cfg.demand_sweep
     if not sweep:
         raise ValueError("demand_sweep must be non-empty")
@@ -208,6 +228,44 @@ def generate_dataset(c_true: CostCoefficients, cfg: SimulationConfig) -> list[Da
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    n = len(sweep)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(n, cpus)) as pool:
-        return list(pool.map(_simulate_point, [c_true] * n, [cfg] * n, range(n), sweep))
+    shares = min(len(sweep), cpus)
+    if shares == 1:
+        return _simulate_share(c_true, cfg, 0, 1)
+
+    # Imported here, not at module top: it would add to every CLI start,
+    # and only a sweep that starts workers needs it.
+    import multiprocessing
+
+    workers = []
+    try:
+        for share in range(1, shares):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(
+                target=_send_share, args=(sender, c_true, cfg, share, shares)
+            )
+            worker.start()
+            workers.append((worker, receiver))
+            # The worker now holds the only write end, so its exit without
+            # sending reads as EOF here.
+            sender.close()
+        results = [_simulate_share(c_true, cfg, 0, shares)]
+        for worker, receiver in workers:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"simulation worker exited with code {worker.exitcode} before sending"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.join()
+    return [results[k % shares][k // shares] for k in range(len(sweep))]

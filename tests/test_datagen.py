@@ -1,6 +1,7 @@
 """Discrete-driver steady-state simulator."""
 
 import hashlib
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -105,6 +106,66 @@ class TestSimulateSteadyState:
             SimulationConfig(total_demand_vph=total, demand_sweep=(1500.0,))
 
 
+#: A script whose sweep workers fail, in the way ``sys.argv[2]`` names, under
+#: the start method ``sys.argv[1]``, with three shares.  The wrap sits at the
+#: top level, so forked workers inherit it and spawned ones re-run it; the
+#: calling process simulates its own share.  With "raise", the first worker
+#: raises and the second never finishes, so the call returns only if it
+#: terminates the second.  With "exit", the first worker sends its points and
+#: the second exits without sending.
+FAILING_WORKERS = f"""\
+import multiprocessing, os, sys
+import divergelane.datagen as datagen
+from divergelane import CostCoefficients, SimulationConfig, generate_dataset, write_coefficients
+from divergelane.cli import main
+
+simulate_point = datagen._simulate_point
+
+
+def failing_point(c_true, cfg, k, d1):
+    if multiprocessing.parent_process() is not None:
+        if sys.argv[2] == "raise":
+            if k % 3 == 2:
+                multiprocessing.parent_process().join()  # until the caller exits
+            raise ValueError("boom")
+        if k % 3 == 2:
+            os._exit(3)
+    return simulate_point(c_true, cfg, k, d1)
+
+
+datagen._simulate_point = failing_point
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+    cfg = SimulationConfig(n_vehicles=60, seed=3, demand_sweep=(1200.0, 1500.0, 1700.0))
+    try:
+        generate_dataset({CAL_VAL!r}, cfg)
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+    print("children", multiprocessing.active_children())
+    if sys.argv[2] == "raise":
+        write_coefficients("diverge.coeffs", {CAL_VAL!r}, symmetry=True)
+        print("exit", main(["generate", "--coeffs", "diverge.coeffs", "--n", "60",
+                            "--sweep", "1200:1700:250", "--out", "data.csv"]))
+        print("children", multiprocessing.active_children())
+        print("written", os.path.exists("data.csv"))
+"""
+
+
+def run_with_failing_workers(tmp_path, method: str, failure: str) -> tuple[list[str], str]:
+    script = tmp_path / "failing_workers.py"
+    script.write_text(FAILING_WORKERS)
+    src = str(Path(divergelane.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, str(script), method, failure], cwd=tmp_path,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120, check=False,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    return child.stdout.decode().splitlines(), child.stderr.decode()
+
+
 class TestGenerateDataset:
     def test_protocol_sweep_shape(self):
         cfg = SimulationConfig(n_vehicles=400, sigma=0.5, rounds=30, seed=1)
@@ -165,6 +226,51 @@ class TestGenerateDataset:
         assert child.returncode == 0, child.stderr.decode()
         rows = [repr(point) for point in generate_dataset(CAL_VAL, cfg)]
         assert child.stdout.decode().splitlines() == rows
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["sched_getaffinity", "cpu_count"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("points", [1, 2, 15])
+    def test_every_worker_count_returns_the_serial_rows(self, monkeypatch, affinity, cpus, points):
+        sweep = SimulationConfig().demand_sweep[:points]
+        cfg = SimulationConfig(n_vehicles=60, sigma=0.5, rounds=20, seed=3, demand_sweep=sweep)
+        expected = [
+            simulate_steady_state(
+                instance(d1 / cfg.total_demand_vph), replace(cfg, seed=cfg.seed + k)
+            )
+            for k, d1 in enumerate(sweep)
+        ]
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        assert generate_dataset(CAL_VAL, cfg) == expected
+        # The calling process simulates the first share itself.
+        assert len(started) == min(points, cpus) - 1
+        assert not any(process.is_alive() for process in started)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_worker_exception_reaches_the_caller(self, tmp_path, method):
+        stdout, stderr = run_with_failing_workers(tmp_path, method, "raise")
+        assert stdout == ["ValueError boom", "children []", "exit 1", "children []",
+                          "written False"]
+        assert "error: boom" in stderr
+
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_worker_exit_without_sending_raises(self, tmp_path, method):
+        stdout, _ = run_with_failing_workers(tmp_path, method, "exit")
+        assert stdout == [
+            "RuntimeError simulation worker exited with code 3 before sending", "children []"
+        ]
 
     def test_zero_noise_round_trip_has_near_zero_violations(self, zero_noise_data):
         # Quantization is the only error source, so counting with a margin

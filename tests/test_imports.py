@@ -150,6 +150,15 @@ def test_each_command_loads_only_its_layers(tmp_path, numpy_loads, command, load
     assert unloaded & loaded <= numpy_loads
 
 
+def test_one_point_sweep_loads_no_process_machinery():
+    loaded = loaded_after(
+        "from divergelane import CostCoefficients, SimulationConfig, generate_dataset\n"
+        f"generate_dataset({CAL_VAL!r}, SimulationConfig(n_vehicles=60, demand_sweep=(1500.0,)))"
+    )
+    assert {"divergelane.datagen"} <= loaded
+    assert not {"multiprocessing", "concurrent.futures"} & loaded
+
+
 def test_public_names_are_pinned():
     assert divergelane.__all__ == PUBLIC_NAMES
 
