@@ -24,9 +24,11 @@ Two solvers share that encoding:
   :func:`scipy.optimize.milp`, returning a provably minimal violation count
   when HiGHS closes the search within ``MILP_NODE_LIMIT`` branch-and-bound
   nodes, and its best fit so far otherwise.
-* :func:`calibrate_search` — a seeded multi-start coordinate (compass)
-  search, with no pattern move; scalable to any size but only a heuristic
-  certificate.
+* :func:`calibrate_search` — a seeded multi-start steepest coordinate
+  (compass) search, with no pattern move: each sweep moves every restart at
+  once to its best one-step neighbour, and the search ends after the first
+  sweep in which a restart violates no condition and meets the uniqueness
+  condition.  Scalable to any size but only a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -427,6 +429,12 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
 # Heuristic solver: multi-start randomized search with coordinate refinement
 
 
+#: Residual products :func:`_objectives` forms at once: it scores its rows in
+#: blocks of at most this many, so its memory does not grow with the number
+#: of rows times the number of points.
+_BLOCK_PRODUCTS = 2**14
+
+
 def _objectives(theta: np.ndarray, arrays: np.ndarray, space: _VariableSpace, epsilon: float):
     """Lexicographic search objective of each row of ``theta``, ``(M, 3)``.
 
@@ -435,10 +443,14 @@ def _objectives(theta: np.ndarray, arrays: np.ndarray, space: _VariableSpace, ep
     that among otherwise equivalent fits the solver prefers one whose
     equilibrium predictions are certified unique.  No row depends on another.
     """
-    c = _Columns(*(theta[:, j, None] for j in space.tie))
-    _, _, count, positive = _violations(c, arrays, epsilon)
-    deficit = np.maximum(0.0, -np.minimum(*uniqueness_margins(c)))
-    return np.array((count, positive, deficit[:, 0])).T
+    rows = max(1, _BLOCK_PRODUCTS // (4 * arrays.shape[1]))
+    out = np.empty((len(theta), 3))
+    for first in range(0, len(theta), rows):
+        c = _Columns(*(theta[first:first + rows, j, None] for j in space.tie))
+        _, _, count, positive = _violations(c, arrays, epsilon)
+        deficit = np.maximum(0.0, -np.minimum(*uniqueness_margins(c)))
+        out[first:first + rows] = np.column_stack((count, positive, deficit[:, 0]))
+    return out
 
 
 def _least_squares_start(a: np.ndarray, space: _VariableSpace) -> np.ndarray | None:
@@ -483,18 +495,11 @@ def _least_squares_start(a: np.ndarray, space: _VariableSpace) -> np.ndarray | N
 
 # The schedule reaches well below the counting margin's width in
 # coefficient space (products move by roughly step * share per step), so a
-# walk can actually land inside a zero-violation band instead of straddling it.
+# row can actually land inside a zero-violation band instead of straddling it.
 _STEP_FRACTIONS = (
     0.25, 0.08, 0.025, 0.008, 0.0025,
     8e-4, 2.5e-4, 8e-5, 2.5e-5, 8e-6, 2.5e-6, 8e-7,
 )
-
-
-#: Trials :func:`_lockstep_refine` may score per step, in sweeps (one trial
-#: per move), split evenly among the live restarts; each gets at least half a
-#: sweep.  It sets how far ahead a restart looks, never which trial it takes,
-#: so no fit depends on it.
-_LOOKAHEAD = 16
 
 #: Sweeps a restart may run at one step fraction before the step shrinks.
 _MAX_SWEEPS = 40
@@ -503,143 +508,46 @@ _MAX_SWEEPS = 40
 def _lockstep_refine(
     starts: np.ndarray, arrays: np.ndarray, space: _VariableSpace, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each start refined by the coordinate search, and its objective; rows
-    past the first start to reach the zero objective are not run.
+    """Every start refined at once by a steepest compass search, and its
+    objective.
 
-    A lone restart runs, at each of ``_STEP_FRACTIONS`` of the box's span in
-    turn, up to ``_MAX_SWEEPS`` sweeps of the moves, one up and one down
-    each parameter.  A move walks from the restart's point for as long as
-    each step improves the objective; a sweep that improves nothing ends the
-    step fraction.
-
-    The restarts run in lockstep, one row each, and every step scores the
-    trials of all rows in one :func:`_objectives` call.  A row scores the
-    trials its lone restart would make next if each failed: the walk along
-    its current move, then the first points of up to a sweep of its next
-    moves, each with a walk of its own.  That chain of moves runs on past
-    the end of the sweep and of the step fraction, and skips a sweep's moves
-    that would repeat trials known to fail from the same point.  The row
-    keeps the walk of the first of those moves whose first point is better,
-    as the lone restart would, or moves past every move it tried.  How far a
-    row looks comes from ``_LOOKAHEAD`` sweeps' worth of trials per step,
-    split evenly among the live rows, and never changes the result.  A row
-    that reaches the zero objective retires at once with every row above
-    it.  Restarts join in index order, two at first and twice as many every
-    second step.
+    At each of ``_STEP_FRACTIONS`` of the box's span in turn, up to
+    ``_MAX_SWEEPS`` sweeps run.  In a sweep each live row scores its moves,
+    one step up and one down each parameter (clipped to the box), and takes
+    the lexicographically best if it beats the row's objective, the first in
+    move order on ties; a row that takes none sits out until the next step
+    fraction.  One :func:`_objectives` call scores a sweep's moves of every
+    row.  The search ends after the first sweep in which a row reaches the
+    zero objective.
     """
     lo, hi = space.lo, space.hi
-    nf = len(_STEP_FRACTIONS)
     moves = np.arange(2 * lo.shape[0])
-    dims, last = moves // 2, len(moves)
-    # Move j steps dimension j // 2 up (j even) or down.  A row looks at most
-    # ``ahead`` moves past its current one, which comes before its stop, so
-    # its chain ends at most ``ahead - 1`` moves past the stop, and at most
-    # ``(ahead - 1) // last + 1`` step fractions on.  Past the last fraction
-    # the step is 0, so such a trial repeats its point and fails.
-    ahead = last + 1
-    offsets = np.zeros((nf + (ahead - 1) // last + 1, last))
-    offsets[:nf] = np.array(_STEP_FRACTIONS)[:, None] * (hi - lo)[dims] * (1.0 - 2 * (moves % 2))
-    lex = np.array((4.0, 2.0, 1.0))
-    thetas, values = starts.copy(), np.zeros((len(starts), 3))
-    # Per live row: its restart, point, objective and position (step-fraction
-    # index, sweep, move, where its untried moves stop, counted from the
-    # start of the sweep, and how far to walk the move).
-    restart, theta, value, pos = moves[:0], thetas[:0], values[:0], np.zeros((5, 0), int)
-    admitted, end, capacity, steps = 0, len(starts), 2, 0
-    while admitted < end or len(restart):
-        new = np.arange(admitted, min(end, admitted + capacity - len(restart)))
-        if len(new):
-            restart, theta, value = (np.concatenate(pair) for pair in (
-                (restart, new), (theta, thetas[new]),
-                (value, _objectives(thetas[new], arrays, space, epsilon))))
-            # A new row stands before the first move of its first sweep.
-            pos = np.concatenate((pos, np.tile([[0], [0], [0], [last], [1]], len(new))), 1)
-            admitted += len(new)
-        done = (zero := ~value.any(axis=1)) | (pos[0] >= nf)
-        if done.any():
-            thetas[restart[done]], values[restart[done]] = theta[done], value[done]
-            end = restart[zero].min(initial=end)
-            live = ~done & (restart < end)
-            restart, theta, value, pos = restart[live], theta[live], value[live], pos[:, live]
-            continue
-        # Capacity doubles every second step: the first restarts can take
-        # dozens of steps, and the restarts further down that creep longest,
-        # and so set the number of steps, must not wait for them to retire.
-        steps += 1
-        if steps % 2 == 0:
-            capacity = min(2 * capacity, len(starts))
-        # Each row walks its current move up to ``reach`` points (slots before
-        # ``lw``), then tries R points along each of the next H moves of its
-        # chain (slots ``lw + (g - 1) * R + j`` for the g-th), all from its point.
-        n = len(theta)
-        share = max(last // 2, _LOOKAHEAD * last // n)
-        R = max(1, math.isqrt(share) // 2)
-        H = min(share // R - 1, ahead - 1)
-        m = np.arange(n)
-        # The row's position k moves on (column k) if every trial on the way
-        # fails.  Its untried moves run to ``stop``; those from ``last`` on are
-        # the next sweep's, at the same step fraction.  Past ``stop`` the step
-        # shrinks, and a whole sweep of each later fraction fails in turn.
-        fraction, _, move, stop = pos[:4, :, None]
-        t = move + np.arange(H + 2)
-        u = t - stop
-        past = u >= 0
-        fractions = fraction + np.maximum(u // last + 1, 0)
-        chain = np.where(past, u, t) % last
-        dim = dims[chain]
-        step = offsets[fractions, chain]
-        reach = np.minimum(pos[4], share)
-        lw = max(1, int(reach.max()))
-        walk0 = np.empty((n, lw + 1))
-        walk0[:, 0] = theta[m, dim[:, 0]]
-        walk0[:, 1:] = step[:, :1]
-        walks = np.empty((n, H, R + 1))
-        walks[..., 0] = theta[m[:, None], dim[:, 1:H + 1]]
-        walks[..., 1:] = step[:, 1:H + 1, None]
-        # Walk points are summed in order, as a lone restart takes its steps.
-        coords = np.concatenate(
-            (np.cumsum(walk0, 1)[:, 1:], np.cumsum(walks, 2)[..., 1:].reshape(n, -1)), 1)
-        slot_dim = np.concatenate((np.repeat(dim[:, :1], lw, 1), np.repeat(dim[:, 1:H + 1], R, 1)), 1)
-        coords = np.clip(coords, lo[slot_dim], hi[slot_dim])
-        slots = np.arange(lw + H * R)
-        scored = (slots < reach[:, None]) | (slots >= lw)
-        trials = np.repeat(theta, reach + H * R, axis=0)
-        trials[np.arange(len(trials)), slot_dim[scored]] = coords[scored]
-        trial_values = np.zeros((n, lw + H * R, 3))
-        trial_values[scored] = _objectives(trials, arrays, space, epsilon)
-        # A slot is better than the point before it on its move (the row's own
-        # point for the move's first); the lexicographic order is the first
-        # nonzero sign of the differences.
-        before = np.concatenate((value[:, None], trial_values[:, :-1]), 1)
-        before[:, lw::R] = value[:, None]
-        better = (np.sign(trial_values - before) @ lex < 0) & scored
-        # How far the row walked each move of its chain, the current one first.
-        runs = np.logical_and.accumulate
-        walked = np.column_stack(
-            (runs(better[:, :lw], 1).sum(1), runs(better[:, lw:].reshape(n, H, R), 2).sum(2)))
-        g = (walked > 0).argmax(1)
-        walked, points = walked[m, g], np.where(g, R, reach)
-        take = walked > 0
-        r, slot = m[take], (np.where(g, lw + (g - 1) * R, 0) + walked - 1)[take]
-        theta[r, slot_dim[r, slot]] = coords[r, slot]
-        value[r] = trial_values[r, slot]
-        # The row moves to the move it walked, now improved, or past every
-        # move it tried.  After an improvement the untried moves are the rest
-        # of the sweep and, within ``_MAX_SWEEPS``, the next sweep's moves
-        # before this one: its later ones would repeat trials known to fail
-        # from the same point.  A walk that took all its points goes on twice
-        # as far; one that stopped short leaves nothing to try on its move.
-        k = m, np.where(take, g, H + 1)
-        t, past, move = t[k], past[k], chain[k]
-        next_sweep = t // last  # before ``stop``, 1 on the next sweep's moves
-        sweep = np.where(past, 0, pos[1] + next_sweep)
-        stop = np.where(past, last, pos[3] - last * next_sweep)
-        pos = np.array((
-            fractions[k], sweep, move,
-            np.where(take, last + move * (sweep + 1 < _MAX_SWEEPS), stop),
-            np.where(take, 2 * points * (walked == points), R),
-        ))
-    return thetas, values
+    # Move j steps parameter j // 2 up (j even) or down.
+    directions = np.zeros((len(moves), lo.shape[0]))
+    directions[moves, moves // 2] = 1.0 - 2 * (moves % 2)
+    theta = starts.copy()
+    value = _objectives(theta, arrays, space, epsilon)
+    if not value.any(axis=1).all():
+        return theta, value
+    for fraction in _STEP_FRACTIONS:
+        step = directions * (fraction * (hi - lo))
+        live = np.arange(len(theta))
+        for _ in range(_MAX_SWEEPS):
+            trials = np.clip(theta[live, None] + step, lo, hi)
+            scores = _objectives(trials.reshape(-1, lo.shape[0]), arrays, space, epsilon)
+            # Each row's own point stands first, so a stable sort keeps it
+            # unless a move beats it, and keeps the first of tied moves.
+            candidates = np.concatenate((value[live, None], scores.reshape(len(live), -1, 3)), 1)
+            best = np.lexsort(candidates.T[::-1], axis=0)[0] - 1
+            moved = best >= 0
+            live, best = live[moved], best[moved]
+            theta[live] = trials[moved, best]
+            value[live] = candidates[moved, best + 1]
+            if not value[live].any(axis=1).all():
+                return theta, value
+            if not len(live):
+                break
+    return theta, value
 
 
 def calibrate_search(
@@ -648,11 +556,11 @@ def calibrate_search(
     """Heuristic violation-count minimization over the bounded box.
 
     Runs ``opts.restarts`` starts (one deterministic least-squares seed plus
-    random box samples) through a coordinate (compass) search, returning the
-    lexicographically best outcome; deterministic for a fixed seed and never
-    worse than the best raw start point.  The result is that of the restarts
-    run one by one, in index order, up to the first to reach the zero
-    objective; :func:`_lockstep_refine` runs them in lockstep.
+    random box samples) through a steepest coordinate (compass) search, all
+    at once (:func:`_lockstep_refine`).  Returns the lowest-index restart at
+    the zero objective if the search reached it, and the lexicographically
+    best outcome otherwise; deterministic for a fixed seed and never worse
+    than the best raw start point.
     """
     if len(data) == 0:
         raise ValueError("data must be non-empty")
@@ -666,7 +574,7 @@ def calibrate_search(
     starts = np.vstack((first, lo + rng.random((opts.restarts - 1, lo.shape[0])) * (hi - lo)))
     thetas, values = _lockstep_refine(starts, arrays, space, opts.epsilon)
 
-    # Restarts past the first at zero were dropped; the loop stops before them.
+    # The lowest-index restart at the zero objective wins: the loop stops there.
     best: tuple[tuple[int, float, float], tuple[float, ...]] | None = None
     for theta, (count, positive, deficit) in zip(thetas, values.tolist()):
         key = ((int(count), positive, deficit), space.coefficients(theta).as_tuple())

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,35 +107,36 @@ def reference_objective(theta, arrays, space, epsilon):
 
 
 def reference_refine(theta, arrays, space, epsilon, *, sweeps=None):
-    """Coordinate pattern search from ``theta`` with a shrinking step: the
-    one-restart loop the lockstep search replaced.  ``sweeps``, if given,
-    receives the number of sweeps run at each step fraction."""
+    """Steepest compass search from ``theta`` with a shrinking step, one
+    restart alone.  Returns its objective, its point, and when it reached
+    the zero objective: ``(step fraction index, sweep)``, ``(-1, 0)`` at the
+    start, or None.  ``sweeps``, if given, receives the number of sweeps run
+    at each step fraction before the zero objective."""
     theta = theta.copy()
     value = reference_objective(theta, arrays, space, epsilon)
+    if value == (0, 0.0, 0.0):
+        return value, theta, (-1, 0)
     lo, hi = space.lo, space.hi
     span = hi - lo
-    for fraction in _STEP_FRACTIONS:
+    for f, fraction in enumerate(_STEP_FRACTIONS):
         for sweep in range(40):
-            improved = False
+            best = None
             for dim in range(theta.shape[0]):
-                step = fraction * span[dim]
                 for direction in (1.0, -1.0):
-                    while True:
-                        trial = theta.copy()
-                        trial[dim] = min(max(trial[dim] + direction * step, lo[dim]), hi[dim])
-                        if trial[dim] == theta[dim]:
-                            break
-                        trial_value = reference_objective(trial, arrays, space, epsilon)
-                        if trial_value < value:
-                            theta, value = trial, trial_value
-                            improved = True
-                        else:
-                            break
-            if not improved:
+                    trial = theta.copy()
+                    step = fraction * span[dim]
+                    trial[dim] = min(max(trial[dim] + direction * step, lo[dim]), hi[dim])
+                    trial_value = reference_objective(trial, arrays, space, epsilon)
+                    if trial_value < (value if best is None else best[0]):
+                        best = trial_value, trial
+            if best is None:
                 break
+            value, theta = best
+            if value == (0, 0.0, 0.0):
+                return value, theta, (f, sweep)
         if sweeps is not None:
             sweeps.append(sweep + 1)
-    return value, theta
+    return value, theta, None
 
 
 def reference_starts(data, opts):
@@ -152,17 +152,20 @@ def reference_starts(data, opts):
 
 
 def reference_search(data, opts):
-    """:func:`calibrate_search` with its restarts run one after another."""
+    """:func:`calibrate_search` with its restarts run one after another: the
+    first restart to reach the zero objective, the lowest index among those
+    that reach it in the same sweep, or else the best."""
     space = _variable_space(opts)
     arrays = _data_arrays(data)
-    best = None
-    for start in reference_starts(data, opts):
-        value, theta = reference_refine(start, arrays, space, opts.epsilon)
-        key = (value, space.coefficients(theta).as_tuple())
-        if best is None or key < best:
-            best, best_theta = key, theta
-        if best[0] == (0, 0.0, 0.0):
-            break
+    runs = [
+        reference_refine(start, arrays, space, opts.epsilon)
+        for start in reference_starts(data, opts)
+    ]
+    reached = [(when, i) for i, (_, _, when) in enumerate(runs) if when is not None]
+    if reached:
+        best_theta = runs[min(reached)[1]][1]
+    else:
+        best_theta = min(runs, key=lambda run: (run[0], space.coefficients(run[1]).as_tuple()))[1]
     coefficients = space.coefficients(best_theta)
     report = count_violations(coefficients, data, opts.epsilon)
     return CalibrationResult(
@@ -668,10 +671,10 @@ class TestCalibrateSearch:
         epsilon=st.sampled_from((1e-4, 1e-2)),
     )
     def test_lockstep_matches_sequential_restarts(self, seed, K, symmetry, restarts, epsilon):
-        # At both margins some draws stop at a restart with the zero
-        # objective and some run every restart (7 and 13 of the 20 here);
-        # either way the lockstep search returns what the restarts give one
-        # by one.
+        # At both margins some draws stop at the first sweep in which a
+        # restart reaches the zero objective and some run every sweep (9 and
+        # 11 of the 20 here); either way the search returns what the
+        # restarts give one by one.
         rng = np.random.default_rng(seed)
         truth = random_coefficients(rng)
         try:
@@ -687,38 +690,38 @@ class TestCalibrateSearch:
         assert result.violations == expected.violations
         assert result.indicator_assignment == expected.indicator_assignment
 
-    def test_lower_restart_reaching_zero_later_wins(self, monkeypatch):
-        # Restart 1 reaches the zero objective early, while restart 0 runs
-        # on and reaches it only at the end of the search; the restarts run
-        # one by one return restart 0's point, and so must the lockstep.
-        demand = DemandConfig(0.4623488000777053, 1.0 - 0.4623488000777053)
-        flow = FlowDistribution.from_bifurcating_shares(
-            demand, 0.2252535838875995, 0.09269021021220793
-        )
+    def test_earliest_zero_wins_and_ties_go_to_the_lower_index(self, monkeypatch):
+        # Alone, restarts 1 and 2 reach the zero objective in the first sweep
+        # of step fraction 1, at different points, restart 3 a sweep later,
+        # and restart 0 only at fraction 2.  The search stops after that
+        # first sweep and returns restart 1's point.
+        demand = DemandConfig(0.6484381455503759, 1.0 - 0.6484381455503759)
+        flow = FlowDistribution.from_bifurcating_shares(demand, 0.36786159834750215, 0.0)
         data = [DataPoint(demand, flow)]
-        opts = CalibrationOptions(epsilon=1e-2, restarts=3, seed=0)
+        opts = CalibrationOptions(epsilon=1e-2, symmetry=True, restarts=4, seed=2)
         space, arrays = _variable_space(opts), _data_arrays(data)
-        (value0, zero0), (value1, zero1) = (
-            reference_refine(start, arrays, space, opts.epsilon)
-            for start in reference_starts(data, opts)[:2]
-        )
-        assert value0 == value1 == (0, 0.0, 0.0)
-        batches = []
+        sweeps = [[] for _ in range(opts.restarts)]
+        runs = [
+            reference_refine(start, arrays, space, opts.epsilon, sweeps=ran)
+            for start, ran in zip(reference_starts(data, opts), sweeps)
+        ]
+        assert [when for _, _, when in runs] == [(2, 1), (1, 0), (1, 0), (1, 1)]
+        assert runs[1][1].tolist() != runs[2][1].tolist()
+        calls = 0
         objectives = calibration._objectives
 
-        def spy(theta, *args):
-            batches.append(theta.copy())
+        def counting(theta, *args):
+            nonlocal calls
+            calls += 1
             return objectives(theta, *args)
 
-        monkeypatch.setattr(calibration, "_objectives", spy)
+        monkeypatch.setattr(calibration, "_objectives", counting)
         result = calibrate_search(data, opts)
-
-        def scored_at(theta):
-            return next(i for i, batch in enumerate(batches) if (batch == theta).all(axis=1).any())
-
-        assert scored_at(zero1) < scored_at(zero0) == len(batches) - 1
+        assert result.coefficients == space.coefficients(runs[1][1])
         assert result == reference_search(data, opts)
-        assert result.coefficients == space.coefficients(zero0)
+        # The starts, every sweep of fraction 0 (as many as its longest
+        # restart ran) and one sweep of fraction 1.
+        assert calls == 1 + max(ran[0] for ran in sweeps) + 1
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -743,35 +746,6 @@ class TestCalibrateSearch:
         assert first.coefficients == second.coefficients
         assert first.violations == second.violations
 
-    @settings(max_examples=20)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        K=st.integers(1, 6),
-        symmetry=st.booleans(),
-        restarts=st.integers(1, 8),
-        epsilon=st.sampled_from((1e-4, 1e-2)),
-    )
-    def test_lookahead_does_not_change_the_fit(self, seed, K, symmetry, restarts, epsilon):
-        # The trial budget sets how far ahead each restart looks, from half a
-        # sweep per step (budget 0) to thousands of trials; the fit must not
-        # move.  Some draws stop at a restart with the zero objective (8 of
-        # the 20 here), the others run every restart.
-        rng = np.random.default_rng(seed)
-        truth = random_coefficients(rng)
-        try:
-            data = [noisy_point(rng, truth, 0.01) for _ in range(K)]
-        except AssertionError:  # solver did not converge for this truth
-            return
-        opts = CalibrationOptions(
-            epsilon=epsilon, symmetry=symmetry, restarts=restarts, seed=seed % 1000
-        )
-        results = []
-        for lookahead in (0, 64):
-            with mock.patch.object(calibration, "_LOOKAHEAD", lookahead):
-                results.append(calibrate_search(data, opts))
-        # Coefficients, violation count, flags, certificate and uniqueness.
-        assert results[0] == results[1]
-
 
 class TestLongChain:
     """The benchmark's 15-point noisy set at a margin of 1e-3, where no fit
@@ -787,7 +761,7 @@ class TestLongChain:
         space, arrays = _variable_space(opts), _data_arrays(data)
         start = reference_starts(data, opts)[180]
         sweeps = []
-        value, theta = reference_refine(start, arrays, space, opts.epsilon, sweeps=sweeps)
+        value, theta, _ = reference_refine(start, arrays, space, opts.epsilon, sweeps=sweeps)
         assert sum(count == 40 for count in sweeps) >= 3
         thetas, values = calibration._lockstep_refine(
             start[None, :], arrays, space, opts.epsilon
@@ -795,6 +769,21 @@ class TestLongChain:
         assert thetas[0].tolist() == theta.tolist()
         count, positive, deficit = values[0].tolist()
         assert (int(count), positive, deficit) == value
+
+    def test_one_row_blocks_change_nothing(self, monkeypatch, data):
+        # At the default block size both the rows below and the first sweep
+        # of the search (20 restarts, 16 moves each) span several blocks.
+        opts = CalibrationOptions(epsilon=1e-3, restarts=20)
+        space, arrays = _variable_space(opts), _data_arrays(data)
+        rng = np.random.default_rng(5)
+        theta = space.lo + rng.random((1000, len(space.lo))) * (space.hi - space.lo)
+        per_block = calibration._BLOCK_PRODUCTS // (4 * len(data))
+        assert per_block < min(len(theta), opts.restarts * 2 * len(space.lo))
+        expected = _objectives(theta, arrays, space, opts.epsilon)
+        fit = calibrate_search(data, opts)
+        monkeypatch.setattr(calibration, "_BLOCK_PRODUCTS", 1)
+        assert np.array_equal(_objectives(theta, arrays, space, opts.epsilon), expected)
+        assert calibrate_search(data, opts) == fit
 
     @pytest.mark.parametrize("symmetry, before", [(True, 1925), (False, 1288)])
     def test_batched_calls_capped(self, monkeypatch, data, symmetry, before):

@@ -678,7 +678,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "solver, digest",
         [
-            ("heuristic", "2ff08869865cff870787dc676dc49d772c23af06bd566c7bb2375eb496dd9737"),
+            ("heuristic", "bc860eb312a2855dfe8ae7483ea55c8c85785f173822e0d2fca4cbbd41925cf5"),
             ("exact", "33c75be9cc7108e6986b900c02e38fa645a150525e5fe60039651e2255c0f01c"),
         ],
     )
@@ -696,7 +696,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "solver, digest",
         [
-            ("heuristic", "d82dd2639b2b53a642aea5f8c2ebf0169993225ebecc5be074f923554fca335e"),
+            ("heuristic", "d9fdf9bcea4f0b3c5f766efbc27618664a88e665c20620f8825222d28962ee2e"),
             ("exact", "df4565027dadd42b4ff26dad3df0f2c91fe63c82bd7026b70978c9584ee9cf63"),
         ],
     )
@@ -712,8 +712,8 @@ class TestPinnedBytes:
     @pytest.mark.parametrize(
         "symmetry, digest",
         [
-            (True, "15aeb4cc7dafd6822ebb8fffb926a13936f28d9fdba51695b5a5727a7b7e5b8e"),
-            (False, "3ca3cbf2ea89bbc4723180352757e61a6a7cb0b218d862434fbcde1369e90289"),
+            (True, "bf85f1b3f1ec2fe152d5ecff185aa0967eb58fece79c357843dd2514ea682323"),
+            (False, "9f0f02fda0321b10a90816a25bc916a505f0cef5c79899fb7971797b2f05ff70"),
         ],
         ids=["symmetric", "asymmetric"],
     )
