@@ -21,8 +21,9 @@ from .fileio import (
     load_dataset,
     write_coefficients,
     write_dataset,
+    write_dataset_columns,
 )
-from .model import DataPoint, DemandConfig, FlowDistribution, max_residual, uniqueness_margins
+from .model import DemandConfig, check_total_demand, max_residual, uniqueness_margins
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -72,28 +73,25 @@ def _parse_fields(text: str, form: str) -> list[float]:
 
 
 def _solve_demands(
-    coeffs, demands: list[DemandConfig], tol: float
-) -> tuple[list[FlowDistribution], list[float]]:
-    """Closed-form equilibrium flow and its largest residual per demand.
+    coeffs, q1: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form equilibrium bifurcating shares ``(xb1, xb2)`` and their
+    largest residual, one per exit-1 demand in ``q1``.
 
     Warns once on stderr when some demand has more than one equilibrium.
     """
     from .equilibrium import solve_equilibria
 
-    xb1, xb2, residual, count = solve_equilibria(coeffs, np.array([d.q1 for d in demands]), tol)
+    xb1, xb2, residual, count = solve_equilibria(coeffs, q1, tol)
     multiple = np.flatnonzero(count > 1)
     if multiple.size:
         print(
-            f"warning: {multiple.size} of {len(demands)} rows have more than one "
-            f"equilibrium (first at q1={demands[multiple[0]].q1!r}); each such row "
+            f"warning: {multiple.size} of {q1.size} rows have more than one "
+            f"equilibrium (first at q1={q1[multiple[0]].item()!r}); each such row "
             "shows its least-residual one",
             file=sys.stderr,
         )
-    flows = [
-        FlowDistribution.from_bifurcating_shares(d, b1, b2)
-        for d, b1, b2 in zip(demands, xb1.tolist(), xb2.tolist())
-    ]
-    return flows, residual.tolist()
+    return xb1, xb2, residual
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -102,11 +100,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     coeffs = load_coefficients(args.coeffs)
     demand = DemandConfig(args.q1, 1.0 - args.q1)
     tol = SolverOptions(convergence_tol=args.tol).convergence_tol
-    (flow,), (residual,) = _solve_demands(coeffs, [demand], tol)
+    xb1, xb2, residual = (a.item() for a in _solve_demands(coeffs, np.array([demand.q1]), tol))
     certified = residual <= tol
     print("q1,q2,xf1,xb1,xf2,xb2,converged,max_residual")
     print(
-        f"{demand.q1!r},{demand.q2!r},{flow.xf1!r},{flow.xb1!r},{flow.xf2!r},{flow.xb2!r},"
+        f"{demand.q1!r},{demand.q2!r},{demand.q1 - xb1!r},{xb1!r},{demand.q2 - xb2!r},{xb2!r},"
         f"{_bool_text(certified)},{residual!r}"
     )
     return EXIT_OK if certified else EXIT_NO_CONVERGENCE
@@ -117,15 +115,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     coeffs = load_coefficients(args.coeffs)
     start, stop = _parse_fields(args.range, "START:STOP")
-    demands = [DemandConfig(q1, 1.0 - q1) for q1 in _range_values(start, stop, args.step)]
+    q1 = np.array(_range_values(start, stop, args.step))
+    outside = np.flatnonzero((q1 < 0.0) | (q1 > 1.0))
+    if outside.size:
+        # DemandConfig states the error of the first share outside [0, 1].
+        first = q1[outside[0]].item()
+        DemandConfig(first, 1.0 - first)
+    check_total_demand(args.D)
     tol = SolverOptions().convergence_tol
-    flows, residuals = _solve_demands(coeffs, demands, tol)
-    points = [
-        DataPoint(demand=demand, flow=flow, total_demand_vph=args.D)
-        for demand, flow in zip(demands, flows)
-    ]
-    write_dataset(args.out, points)
-    return EXIT_OK if max(residuals) <= tol else EXIT_NO_CONVERGENCE
+    xb1, xb2, residual = _solve_demands(coeffs, q1, tol)
+    # The solver clips each share to [0, q_i], so every row is a valid
+    # DataPoint without building one.
+    q2 = 1.0 - q1
+    write_dataset_columns(
+        args.out, q1, q2, q1 - xb1, xb1, q2 - xb2, xb2, np.full(q1.size, args.D)
+    )
+    return EXIT_OK if residual.max() <= tol else EXIT_NO_CONVERGENCE
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -4,15 +4,20 @@ Coefficient files are ``key = value`` lines (``#`` comments and blank lines
 allowed) for the eight coefficients, plus an optional ``symmetry = true``
 flag that fills in or checks the mirrored entries; no key may repeat.
 Datasets are plain CSV with the fixed header
-``k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph``.  Values are serialized as
-``repr(float(x))`` (numpy scalars included) so parse(serialize(x)) == x
-exactly.  Keys, mirrors, row type and validation are the model's schema.
+``k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph``.  One column formatter,
+:func:`format_dataset_columns`, writes every dataset: it takes the seven
+value columns as sequences or arrays and writes each value as ``repr`` of
+a Python float, so parse(serialize(x)) == x exactly.  :func:`format_dataset`
+feeds it the columns of a list of rows.  Keys, mirrors, row type and
+validation are the model's schema.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .model import (
     COEFFICIENT_NAMES,
@@ -146,15 +151,37 @@ def load_dataset(path: str | Path) -> list[DataPoint]:
     return parse_dataset(Path(path).read_text())
 
 
-def format_dataset(points: Sequence[DataPoint]) -> str:
+def format_dataset_columns(q1, q2, xf1, xb1, xf2, xb2, total_demand_vph) -> str:
+    """The dataset CSV of seven equal-length value columns (sequences or
+    arrays of numbers), its rows numbered from ``k = 1``.  The columns are
+    written as given; :class:`DataPoint` is what validates a row."""
+    columns = [
+        np.asarray(column, dtype=float).tolist()
+        for column in (q1, q2, xf1, xb1, xf2, xb2, total_demand_vph)
+    ]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"dataset columns differ in length: {[len(c) for c in columns]}")
+    rows = zip(*(map(repr, column) for column in columns))
     lines = [DATASET_HEADER]
-    for k, p in enumerate(points, start=1):
-        values = (
-            p.demand.q1, p.demand.q2, p.flow.xf1, p.flow.xb1,
-            p.flow.xf2, p.flow.xb2, p.total_demand_vph,
-        )
-        lines.append(",".join([str(k), *(repr(float(v)) for v in values)]))
+    lines.extend(f"{k},{','.join(row)}" for k, row in enumerate(rows, start=1))
     return "\n".join(lines) + "\n"
+
+
+def write_dataset_columns(path: str | Path, *columns) -> None:
+    """Write :func:`format_dataset_columns` of ``columns`` to ``path``."""
+    Path(path).write_text(format_dataset_columns(*columns))
+
+
+def format_dataset(points: Sequence[DataPoint]) -> str:
+    return format_dataset_columns(
+        [p.demand.q1 for p in points],
+        [p.demand.q2 for p in points],
+        [p.flow.xf1 for p in points],
+        [p.flow.xb1 for p in points],
+        [p.flow.xf2 for p in points],
+        [p.flow.xb2 for p in points],
+        [p.total_demand_vph for p in points],
+    )
 
 
 def write_dataset(path: str | Path, points: Sequence[DataPoint]) -> None:

@@ -222,10 +222,14 @@ class DataPoint:
 
     def __post_init__(self) -> None:
         check_feasible(self.demand, self.flow)
-        if not 0 <= self.total_demand_vph < math.inf:
-            raise ValueError(
-                f"total_demand_vph must be finite and >= 0, got {self.total_demand_vph!r}"
-            )
+        check_total_demand(self.total_demand_vph)
+
+
+def check_total_demand(total_demand_vph: float) -> None:
+    """Raise ``ValueError`` unless a dataset's total demand (vph) is finite
+    and non-negative."""
+    if not 0 <= total_demand_vph < math.inf:
+        raise ValueError(f"total_demand_vph must be finite and >= 0, got {total_demand_vph!r}")
 
 
 def lane_costs(c: CostCoefficients, xf1, xb1, xf2, xb2):

@@ -788,8 +788,9 @@ class TestLongChain:
     @pytest.mark.parametrize("symmetry, before", [(True, 1925), (False, 1288)])
     def test_batched_calls_capped(self, monkeypatch, data, symmetry, before):
         # ``before``: the batched objective calls of the lockstep search that
-        # looked ahead only to the end of each sweep; the budgeted lookahead
-        # must need at most 0.6 times as many.
+        # looked ahead only to the end of each sweep.  The steepest search
+        # makes one batched call per sweep (396 and 384 here), so the cap of
+        # 0.6 times as many (1,155 and 772) bounds its total sweeps.
         calls = 0
         objectives = calibration._objectives
 

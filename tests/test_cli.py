@@ -5,19 +5,25 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import divergelane
 
 from divergelane import (
     CostCoefficients,
+    DataPoint,
+    DemandConfig,
     DivergeInstance,
     FlowDistribution,
     SolverOptions,
     count_violations,
+    format_dataset,
     load_dataset,
     solve_equilibria,
     wardrop_residuals,
@@ -147,6 +153,52 @@ class TestSweep:
              "--step", "0.05", "--out", tmp_path / "no" / "dir" / "x.csv"],
         )
         assert code == 1
+
+
+#: Coefficients whose heterogeneity ``nu`` reaches 20, so that many fail the
+#: uniqueness margin.
+_sweep_coefficients = st.builds(
+    CostCoefficients,
+    *[st.floats(1.0, 5.0)] * 3,
+    *[st.floats(0.05, 1.0)] * 4,
+    st.floats(0.1, 20.0),
+)
+
+
+class TestSweepMatchesRows:
+    """``sweep`` writes its file from the solver's arrays; building each row
+    as a ``DataPoint`` from the same arrays is the reference."""
+
+    @settings(max_examples=150)
+    @given(
+        c=_sweep_coefficients,
+        bounds=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        step=st.floats(0.002, 1.5),
+        total=st.floats(0.0, 1e5),
+    )
+    # Fails the uniqueness margin on both links (-4.5).
+    @example(c=CostCoefficients(1.0, 1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 5.0),
+             bounds=[0.02, 0.98], step=0.01, total=0.0)
+    # Three equilibria at q1 = 0.18.
+    @example(c=CostCoefficients(2.6, 0.5, 5.0, 0.6, 0.05, 0.8, 1.0, 18.0),
+             bounds=[0.0, 1.0], step=0.01, total=3000.0)
+    def test_file_equals_rows_built_one_by_one(self, c, bounds, step, total):
+        start, stop = bounds
+        q1 = np.array(_range_values(start, stop, step))
+        tol = SolverOptions().convergence_tol
+        xb1, xb2, residual, _ = solve_equilibria(c, q1, tol)
+        rows = []
+        for q, b1, b2 in zip(q1.tolist(), xb1.tolist(), xb2.tolist()):
+            demand = DemandConfig(q, 1.0 - q)
+            flow = FlowDistribution.from_bifurcating_shares(demand, b1, b2)
+            rows.append(DataPoint(demand, flow, total))
+        with tempfile.TemporaryDirectory() as tmp:
+            coeffs_path, out_path = Path(tmp) / "diverge.coeffs", Path(tmp) / "pred.csv"
+            write_coefficients(coeffs_path, c)
+            code = main(["sweep", "--coeffs", str(coeffs_path), "--range", f"{start!r}:{stop!r}",
+                         "--step", repr(step), "--D", repr(total), "--out", str(out_path)])
+            assert out_path.read_bytes() == format_dataset(rows).encode()
+        assert code == (0 if residual.max() <= tol else 2)
 
 
 class TestNonUniqueWarning:
@@ -539,7 +591,7 @@ class TestNonFiniteInput:
         assert out == ""
         assert "tol" in err
 
-    @pytest.mark.parametrize("total", ["inf", "nan"])
+    @pytest.mark.parametrize("total", ["inf", "nan", "-3000.0"])
     @pytest.mark.parametrize(
         "command",
         [

@@ -21,7 +21,7 @@ from divergelane import (
     solve_fixed_point,
 )
 
-from divergelane.fileio import DATASET_HEADER
+from divergelane.fileio import DATASET_HEADER, format_dataset_columns
 from divergelane.model import FACTOR_FLOOR
 
 from conftest import CAL_VAL, random_coefficients
@@ -201,6 +201,11 @@ class TestDataset:
         assert lines[0] == "k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph"
         assert lines[1].startswith("1,")
         assert lines[2].startswith("2,")
+
+    def test_columns_of_different_length_rejected(self):
+        columns = [[0.5, 0.5]] * 6 + [[3000.0]]
+        with pytest.raises(ValueError, match="differ in length"):
+            format_dataset_columns(*columns)
 
     def test_header_required(self):
         with pytest.raises(ParseError, match="header"):
