@@ -50,7 +50,6 @@ from .model import (
     COEFFICIENT_NAMES,
     FACTOR_FLOOR,
     FACTOR_NAMES,
-    RATE_NAMES,
     SYMMETRIC_TIE,
     CostCoefficients,
     DataPoint,
@@ -62,14 +61,10 @@ from .model import (
     uniqueness_margins,
 )
 
-DEFAULT_LOWER_BOUNDS: dict[str, float] = {
-    **{name: 1.0 for name in RATE_NAMES},
-    **{name: FACTOR_FLOOR for name in FACTOR_NAMES},
-}
-DEFAULT_UPPER_BOUNDS: dict[str, float] = {
-    **{name: 10.0 for name in RATE_NAMES},
-    **{name: 1.0 for name in FACTOR_NAMES},
-}
+#: The calibration box, one (lower, upper) pair per coefficient kind: every
+#: rate in ``RATE_BOUNDS`` and every capacity factor in ``FACTOR_BOUNDS``.
+RATE_BOUNDS = (1.0, 10.0)
+FACTOR_BOUNDS = (FACTOR_FLOOR, 1.0)
 
 #: Free parameter of each coefficient (``COEFFICIENT_NAMES`` order) and the
 #: parameters' linearized names, without and with symmetry.
@@ -99,9 +94,9 @@ class CalibrationOptions:
     ``epsilon`` is the violation-counting margin: a condition is violated
     when its product exceeds it.  Scale it to the data's noise floor: 1e-6
     suits solver-generated data, while simulator output typically needs 1e-3
-    to 1e-2.  Both solvers search one coefficient box,
-    ``DEFAULT_LOWER_BOUNDS`` to ``DEFAULT_UPPER_BOUNDS``: rates in [1, 10]
-    and factors in ``[FACTOR_FLOOR, 1]``.  ``restarts`` and ``seed`` drive
+    to 1e-2.  Both solvers search one coefficient box, one pair per kind:
+    every rate in ``RATE_BOUNDS`` = [1, 10] and every factor in
+    ``FACTOR_BOUNDS`` = ``[FACTOR_FLOOR, 1]``.  ``restarts`` and ``seed`` drive
     :func:`calibrate_search` only; the exact solver's effort is bounded by
     the module constant ``MILP_NODE_LIMIT``.
     """
@@ -231,13 +226,9 @@ class _VariableSpace:
 
 def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
     tie, names = _TIES[opts.symmetry]
-    # Tied coefficients are of one kind, so they share their bounds: each
-    # parameter takes those of the first coefficient of its group.
-    first = [COEFFICIENT_NAMES[tie.index(j)] for j in range(len(names))]
-    lo = [DEFAULT_LOWER_BOUNDS[name] for name in first]
-    hi = [DEFAULT_UPPER_BOUNDS[name] for name in first]
     factor = np.zeros(len(names), dtype=bool)
     factor[[tie[COEFFICIENT_NAMES.index(name)] for name in FACTOR_NAMES]] = True
+    lo, hi = np.where(factor[:, None], FACTOR_BOUNDS, RATE_BOUNDS).T
     rate = tie[_CB]
     box = tuple(
         (lo[j] * lo[rate], hi[j] * hi[rate]) if factor[j] else (lo[j], hi[j])
@@ -247,7 +238,7 @@ def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
     for r, j in enumerate(np.flatnonzero(factor)):
         matrix[2 * r, [j, rate]] = (1.0, -hi[j])  # product <= ub * rate
         matrix[2 * r + 1, [j, rate]] = (-1.0, lo[j])  # product >= lb * rate
-    return _VariableSpace(tie, names, factor, np.array(lo), np.array(hi), box, matrix)
+    return _VariableSpace(tie, names, factor, lo, hi, box, matrix)
 
 
 def linearized_values(c: CostCoefficients, symmetry: bool) -> dict[str, float]:
@@ -558,9 +549,9 @@ def calibrate_search(
     Runs ``opts.restarts`` starts (one deterministic least-squares seed plus
     random box samples) through a steepest coordinate (compass) search, all
     at once (:func:`_lockstep_refine`).  Returns the lowest-index restart at
-    the zero objective if the search reached it, and the lexicographically
-    best outcome otherwise; deterministic for a fixed seed and never worse
-    than the best raw start point.
+    the zero objective if the search reached it, and otherwise the least
+    (objective, coefficients), the lowest index on ties; deterministic for a
+    fixed seed and never worse than the best raw start point.
     """
     if len(data) == 0:
         raise ValueError("data must be non-empty")
@@ -574,13 +565,9 @@ def calibrate_search(
     starts = np.vstack((first, lo + rng.random((opts.restarts - 1, lo.shape[0])) * (hi - lo)))
     thetas, values = _lockstep_refine(starts, arrays, space, opts.epsilon)
 
-    # The lowest-index restart at the zero objective wins: the loop stops there.
-    best: tuple[tuple[int, float, float], tuple[float, ...]] | None = None
-    for theta, (count, positive, deficit) in zip(thetas, values.tolist()):
-        key = ((int(count), positive, deficit), space.coefficients(theta).as_tuple())
-        if best is None or key < best:
-            best, best_theta = key, theta
-        if best[0] == (0, 0.0, 0.0):
-            break
-
-    return _result(space.coefficients(best_theta), data, opts.epsilon)
+    # The first restart at the zero objective wins, since the search stopped
+    # there; otherwise the least (objective, coefficients), the first on ties.
+    zero = ~values.any(axis=1)
+    keys = np.column_stack((values, thetas[:, space.tie]))
+    best = zero.argmax() if zero.any() else np.lexsort(keys.T[::-1])[0]
+    return _result(space.coefficients(thetas[best]), data, opts.epsilon)

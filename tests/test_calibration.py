@@ -32,8 +32,9 @@ from divergelane import calibration
 from divergelane.calibration import (
     _STEP_FRACTIONS,
     COEFFICIENT_NAMES,
-    DEFAULT_LOWER_BOUNDS,
-    DEFAULT_UPPER_BOUNDS,
+    FACTOR_BOUNDS,
+    FACTOR_NAMES,
+    RATE_BOUNDS,
     CalibrationResult,
     _condition_matrix,
     _data_arrays,
@@ -256,11 +257,16 @@ class TestCountViolations:
         assert report.count == int(np.array(report.flags).sum())
 
 
+def kind_bounds(name):
+    """The calibration box's (lower, upper) pair for coefficient ``name``."""
+    return FACTOR_BOUNDS if name in FACTOR_NAMES else RATE_BOUNDS
+
+
 def box_coefficients(rng):
     """Coefficients drawn uniformly from the default calibration box."""
     return CostCoefficients(
         *(
-            rng.uniform(DEFAULT_LOWER_BOUNDS[name], DEFAULT_UPPER_BOUNDS[name])
+            rng.uniform(*kind_bounds(name))
             for name in ("cf1", "cf2", "cb", "lambda1", "lambda2", "mu1", "mu2", "nu")
         )
     )
@@ -470,18 +476,21 @@ class TestDefaultBox:
     """Both solvers search the module's one coefficient box."""
 
     def test_corners_are_ordered_coefficients(self):
-        for corner in (DEFAULT_LOWER_BOUNDS, DEFAULT_UPPER_BOUNDS):
-            assert sorted(corner) == sorted(COEFFICIENT_NAMES)
-            CostCoefficients(**corner)
-        assert all(DEFAULT_LOWER_BOUNDS[n] <= DEFAULT_UPPER_BOUNDS[n] for n in COEFFICIENT_NAMES)
+        bounds = [kind_bounds(n) for n in COEFFICIENT_NAMES]
+        for corner in zip(*bounds):
+            CostCoefficients(*corner)
+        assert all(lower <= upper for lower, upper in bounds)
 
     def test_tied_coefficients_share_their_bounds(self):
-        # _variable_space bounds each tied parameter by its group's first
-        # coefficient, which is exact only when the group's bounds agree.
-        for corner in (DEFAULT_LOWER_BOUNDS, DEFAULT_UPPER_BOUNDS):
-            for j in set(SYMMETRIC_TIE):
-                group = [n for n, t in zip(COEFFICIENT_NAMES, SYMMETRIC_TIE) if t == j]
-                assert len({corner[n] for n in group}) == 1, group
+        # _variable_space bounds each parameter by its kind, read from the
+        # factor mask, which holds only when every tied group is of one kind.
+        for j in set(SYMMETRIC_TIE):
+            group = [n for n, t in zip(COEFFICIENT_NAMES, SYMMETRIC_TIE) if t == j]
+            assert len({n in FACTOR_NAMES for n in group}) == 1, group
+        for symmetry in (False, True):
+            space = _variable_space(CalibrationOptions(symmetry=symmetry))
+            for name, j in zip(COEFFICIENT_NAMES, space.tie):
+                assert (space.lo[j], space.hi[j]) == kind_bounds(name), name
 
 
 class TestCalibrateExact:
@@ -722,6 +731,35 @@ class TestCalibrateSearch:
         # The starts, every sweep of fraction 0 (as many as its longest
         # restart ran) and one sweep of fraction 1.
         assert calls == 1 + max(ran[0] for ran in sweeps) + 1
+
+    @pytest.mark.parametrize(
+        "values, winner",
+        [
+            # Rows 1 and 2 reach the zero objective (-0.0 is zero): the
+            # earlier wins, though row 2 has the smaller parameters.
+            ([[1, 0.5, 0], [0, 0, -0.0], [0, 0, 0], [0, 0, 0]], 1),
+            # None reaches it; rows 0, 2 and 3 tie on the objective: the
+            # smaller parameters win at a higher index, then the lower index.
+            ([[2, 0.1, 0], [3, 0, 0], [2, 0.1, 0], [2, 0.1, 0]], 2),
+            # A smaller count beats a smaller sum and smaller parameters.
+            ([[2, 0.1, 0], [1, 5.0, 1.0], [2, 0.1, 0], [2, 0.1, 0]], 1),
+            # A smaller positive sum beats a smaller deficit.
+            ([[1, 0.1, 3.0], [3, 0, 0], [1, 0.2, 0], [1, 0.2, 0]], 0),
+        ],
+    )
+    def test_winner_rule(self, monkeypatch, values, winner):
+        # Row 2 (and its copy, row 3) has the smallest parameters, then row 1.
+        thetas = np.array(
+            [[3.0, 0.5, 0.5, 2.0], [2.0, 0.5, 0.6, 2.0], [2.0, 0.5, 0.4, 2.0], [2.0, 0.5, 0.4, 2.0]]
+        )
+        monkeypatch.setattr(
+            calibration,
+            "_lockstep_refine",
+            lambda *args: (thetas.copy(), np.array(values, dtype=float)),
+        )
+        opts = CalibrationOptions(symmetry=True, restarts=4, seed=0)
+        result = calibrate_search([equilibrium_point(CAL_VAL, 0.5)], opts)
+        assert result.coefficients == _variable_space(opts).coefficients(thetas[winner])
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

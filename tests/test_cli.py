@@ -364,6 +364,27 @@ class TestRanges:
         assert err.startswith("error:") and message in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "bounds, first",
+        [
+            # "--range -0.1:0.3" would read as a missing argument.
+            (["--range", "0.9:1.2"], "(1.1, -0.10000000000000009)"),
+            (["--range=-0.1:0.3"], "(-0.1, 1.1)"),
+        ],
+    )
+    def test_share_outside_unit_interval_exits_1(
+        self, capsys, tmp_path, coeffs_file, bounds, first
+    ):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys,
+            ["sweep", "--coeffs", coeffs_file, *bounds, "--step", "0.1", "--out", out_path],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: demand shares must be finite and non-negative, got {first}\n"
+        assert not out_path.exists()
+
     def test_last_point_clamped_to_stop(self, capsys, tmp_path, coeffs_file):
         # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, past STOP.
         out_path = tmp_path / "x.csv"
