@@ -1,12 +1,14 @@
 """Equilibrium computation for the diverge lane-choice model.
 
 Each bifurcating share enters its own link's cost gap linearly, so the
-equilibria have a closed form.  :func:`solve_equilibria` enumerates every
-candidate split for a whole array of demands at once: the six splits
-with one share at a bound and the other at its best response, or with both
-shares at a root of the interior gap equations, which reduce to a line and
-a quadratic.  It certifies each candidate with the residual products and
-returns the best-certified one with the number of distinct equilibria.
+equilibria have a closed form.  At an equilibrium each populated link
+keeps all its traffic on its feed lane or balances its two lanes, so
+:func:`solve_equilibria` enumerates four candidate splits for a whole array
+of demands at once: one link on its feed lane and the other at its best
+response, or both shares at a root of the interior gap equations, which
+reduce to a line and a quadratic.  It certifies each candidate with the
+residual products and returns the best-certified one with the number of
+distinct equilibria.
 
 The paper's method is kept as an independent cross-check: the best
 response of an auxiliary two-player game (player ``i`` picks its
@@ -187,24 +189,23 @@ def _interior_roots(c: CostCoefficients, q1: np.ndarray, q2: np.ndarray):
 
 
 def _candidate_splits(c: CostCoefficients, q1: np.ndarray, q2: np.ndarray):
-    """The six candidate splits ``(y1, y2)`` per demand, arrays of shape
-    ``(6, n)`` clipped to the action box, in a fixed order.
+    """The four candidate splits ``(y1, y2)`` per demand, arrays of shape
+    ``(4, n)`` clipped to the action box: ``(0, B2(0))``, ``(B1(0), 0)``
+    with ``B_i`` link ``i``'s :func:`_gap_root`, then the two interior roots.
 
-    They are the four splits with ``y1 = 0``, ``y1 = q1``, ``y2 = 0`` or
-    ``y2 = q2`` and the other share at its best response, then the two
-    roots of :func:`_interior_roots`.  Every equilibrium is one of them:
-    a share strictly inside its interval zeroes its own gap, and the gap is
-    strictly decreasing in the own share, so the other share's response is
-    unique.  No corner of the box is one: a populated link all on its
-    bifurcating lane leaves its feed lane empty at cost 0, and with both
-    links on their feed lanes both bifurcating lanes cost 0.  The same holds
-    at ``y_i = q_i``, but under rounding those splits certify the demands
-    within about 1e-15 of an end.
+    Every equilibrium is one of them.  A link with ``q_i > 0`` all on its
+    bifurcating lane is never in equilibrium, since its empty feed lane
+    costs 0 and ``rb_i = q_i * b_i > 0``.  So each link keeps all its
+    traffic on its feed lane (``y_i = 0``, an empty link included) or
+    balances its lanes (its gap vanishes).  With one link on its feed lane,
+    the other's gap strictly decreases in its own share, so that share is
+    its unique best response, the clipped root; with both balancing, both
+    gaps vanish (:func:`_interior_roots`).
     """
     zero = np.zeros_like(q1)
     root1, root2 = _interior_roots(c, q1, q2)
-    y1 = (zero, q1, _gap_root(c, q1, zero, 1)[0], _gap_root(c, q1, q2, 1)[0])
-    y2 = (_gap_root(c, q2, zero, 2)[0], _gap_root(c, q2, q1, 2)[0], zero, q2)
+    y1 = (zero, _gap_root(c, q1, zero, 1)[0])
+    y2 = (_gap_root(c, q2, zero, 2)[0], zero)
     return (
         np.clip(np.concatenate((y1, root1)), 0.0, q1),
         np.clip(np.concatenate((y2, root2)), 0.0, q2),
@@ -222,9 +223,9 @@ def solve_equilibria(
     ``(xb1, xb2, max_residual, count)``: the candidate with the smallest
     largest residual product (the first in candidate order on a tie, so
     output is deterministic), that residual, and the number of distinct
-    certified equilibria, counting candidates within ``DISTINCT_TOL`` in
-    both shares as one.  ``count`` counts distinct certified candidates, so
-    a continuum of equilibria (``a1 = a2 = d = 0`` in
+    certified candidates, counting those within ``DISTINCT_TOL`` in both
+    shares as one.  Every equilibrium is a candidate, so ``count`` misses
+    none, but a continuum of them (``a1 = a2 = d = 0`` in
     :func:`_interior_roots`) counts only as its edge points.  A row with
     ``count == 0`` did not certify; it still holds its least-residual
     candidate.  Scaling all four rates and ``tol`` by a power of two leaves
@@ -259,13 +260,7 @@ def nash_player_cost(
             raise ValueError(
                 f"action y{l} = {y.action(l)!r} exceeds demand share q{l} = {q.share(l)!r}"
             )
-    flow = FlowDistribution(
-        xf1=max(q.q1 - y.y1, 0.0),
-        xb1=y.y1,
-        xf2=max(q.q2 - y.y2, 0.0),
-        xb2=y.y2,
-    )
-    gap = cost_gaps(c, flow.xf1, flow.xb1, flow.xf2, flow.xb2)[link - 1]
+    gap = cost_gaps(c, max(q.q1 - y.y1, 0.0), y.y1, max(q.q2 - y.y2, 0.0), y.y2)[link - 1]
     return gap * gap
 
 

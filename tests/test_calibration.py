@@ -2,6 +2,10 @@
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +16,7 @@ from scipy.optimize import linprog
 
 from divergelane import (
     CalibrationOptions,
+    ConfigurationError,
     CostCoefficients,
     DataPoint,
     DemandConfig,
@@ -608,6 +613,40 @@ class TestCalibrateExact:
         result = calibrate_exact(NOISY_FIVE, opts)
         assert result.certificate == "heuristic"
         assert result.violations == count_violations(result.coefficients, NOISY_FIVE, 1e-3).count
+
+    def test_milp_without_a_solution_raises(self, monkeypatch):
+        # HiGHS returns no point when it stops before finding a feasible one.
+        monkeypatch.setattr(
+            "scipy.optimize.milp",
+            lambda *args, **kwargs: SimpleNamespace(x=None, message="no point found"),
+        )
+        with pytest.raises(
+            ConfigurationError, match="^the calibration MILP has no solution: no point found$"
+        ):
+            calibrate_exact(NOISY_FIVE, CalibrationOptions(epsilon=1e-3))
+
+    def test_closed_stdout_is_left_alone(self):
+        # With file descriptor 1 closed there is no stdout to silence, so
+        # the solve runs without the redirect and fd 1 stays closed.
+        src = str(Path(calibration.__file__).resolve().parents[1])
+        code = (
+            "import os, sys\n"
+            "from divergelane import CalibrationOptions, calibrate_exact, parse_dataset\n"
+            "data = parse_dataset(sys.argv[1])\n"
+            "os.close(1)\n"
+            "result = calibrate_exact(data, CalibrationOptions(epsilon=1e-3))\n"
+            "try:\n"
+            "    os.fstat(1)\n"
+            "except OSError:\n"
+            "    print(result.certificate, result.violations, file=sys.stderr)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code, NOISY_FIVE_CSV],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        assert child.stderr.decode() == "exact 4\n"
 
     def test_uniqueness_recorded(self):
         data = noiseless_protocol_dataset()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ class TestNonUniqueWarning:
         assert header == "q1,q2,xf1,xb1,xf2,xb2,converged,max_residual"
         assert row.startswith("0.18,")
 
+    def test_all_bifurcating_edge_is_no_second_equilibrium(self, capsys, tmp_path):
+        # Link 2 carries about 1e-9, so its all-bifurcating split y2 = q2
+        # has a residual under the absolute tolerance.  It is still not an
+        # equilibrium (its empty feed lane costs 0), so no warning.
+        c = CostCoefficients(8.0, 7.0, 0.15, 0.8, 0.05, 0.9, 0.002, 15.0)
+        path = tmp_path / "edge.coeffs"
+        write_coefficients(path, c)
+        code, out, err = run(capsys, ["solve", "--coeffs", path, "--q1", "0.999999999"])
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[1] == (
+            "0.999999999,9.999999717180685e-10,0.01477832510837429,0.9852216738916257,"
+            "9.999999717180685e-10,0.0,true,7.656710506999542e-16"
+        )
+        assert solve_equilibria(c, np.array([0.999999999]), 1e-12)[3].tolist() == [1]
+
     def test_sweep_counts_the_rows(self, capsys, tmp_path, multi_file):
         out_path = tmp_path / "pred.csv"
         code, out, err = run(
@@ -450,6 +467,20 @@ class TestCalibrate:
         assert code == 0
         assert "violations = 0" in out
         assert "certificate = exact" in out
+
+    def test_milp_without_a_solution_exits_1(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            "scipy.optimize.milp",
+            lambda *args, **kwargs: SimpleNamespace(x=None, message="no point found"),
+        )
+        path = tmp_path / "noisy.csv"
+        path.write_text(NOISY_FIVE_CSV)
+        code, out, err = run(
+            capsys, ["calibrate", "--data", path, "--solver", "exact", "--tol", "1e-3"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: the calibration MILP has no solution: no point found\n"
 
     def test_negative_seed_exits_1(self, capsys, sweep_file):
         code, _, err = run(capsys, ["calibrate", "--data", sweep_file, "--seed", "-1"])

@@ -1,6 +1,7 @@
 """Best response, fixed-point solver, grid oracle, and slope properties."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from divergelane import (
     solve_grid_oracle,
 )
 from divergelane.equilibrium import DISTINCT_TOL, _candidate_splits, _gap_root, _interior_roots
-from divergelane.model import RATE_NAMES, max_residual
+from divergelane.model import RATE_NAMES, max_residual, residual_products
 
 from conftest import CAL_VAL, coefficients, random_uniqueness_instance
 
@@ -450,28 +451,24 @@ def box_corners(q1, q2):
     return np.stack((zero, q1, zero, q1)), np.stack((zero, zero, q2, q2))
 
 
-def ten_candidates(c, q1, q2):
-    """Reference enumeration: the four box corners, then the four edge
-    splits with the other share at its best response, then the two interior
-    roots, clipped to the box."""
+def eight_candidates(c, q1, q2):
+    """Reference enumeration: the four box corners, then the two splits with
+    one link on its feed lane and the other at its best response, then the
+    two interior roots, clipped to the box."""
     zero = np.zeros_like(q1)
     corner1, corner2 = box_corners(q1, q2)
     root1, root2 = _interior_roots(c, q1, q2)
-    y1 = np.concatenate(
-        (corner1, [zero, q1, _gap_root(c, q1, zero, 1)[0], _gap_root(c, q1, q2, 1)[0]], root1)
-    )
-    y2 = np.concatenate(
-        (corner2, [_gap_root(c, q2, zero, 2)[0], _gap_root(c, q2, q1, 2)[0], zero, q2], root2)
-    )
+    y1 = np.concatenate((corner1, [zero, _gap_root(c, q1, zero, 1)[0]], root1))
+    y2 = np.concatenate((corner2, [_gap_root(c, q2, zero, 2)[0], zero], root2))
     return np.clip(y1, 0.0, q1), np.clip(y2, 0.0, q2)
 
 
 def reference_equilibria(c, q1, tol):
-    """:func:`solve_equilibria` over :func:`ten_candidates`: the first
+    """:func:`solve_equilibria` over :func:`eight_candidates`: the first
     least-residual candidate, and the certified candidates counted unless an
     earlier certified one lies within ``DISTINCT_TOL`` in both shares."""
     q2 = 1.0 - q1
-    y1, y2 = ten_candidates(c, q1, q2)
+    y1, y2 = eight_candidates(c, q1, q2)
     residual = max_residual(c, q1 - y1, y1, q2 - y2, y2)
     certified = residual <= tol
     count = np.zeros(q1.shape, dtype=int)
@@ -514,7 +511,7 @@ class TestSolveEquilibria:
     @pytest.mark.parametrize("tol", [1e-12, 0.0])
     @settings(max_examples=300)
     @given(c=st.one_of(coefficients, degenerate_coefficients()), q1=edge_demand_arrays)
-    def test_matches_ten_candidate_reference(self, tol, c, q1):
+    def test_matches_eight_candidate_reference(self, tol, c, q1):
         # Bit for bit, the sign of a zero residual included.
         mine = solve_equilibria(c, q1, tol)
         reference = reference_equilibria(c, q1, tol)
@@ -531,6 +528,19 @@ class TestSolveEquilibria:
         q2 = 1.0 - q1
         y1, y2 = box_corners(q1, q2)
         assert np.all(max_residual(c, q1 - y1, y1, q2 - y2, y2) > 0.0)
+        # Nor is a link with q_i > 0 all on its bifurcating lane, whatever the
+        # other share (here the other link's best response):
+        # rb_i = q_i * b_i > 0.  Evaluated exactly, since in floats the
+        # product underflows to 0 for a subnormal q_i.
+        exact = CostCoefficients(*map(Fraction, c.as_tuple()))
+        b1 = np.clip(_gap_root(c, q1, q2, 1)[0], 0.0, q1)
+        b2 = np.clip(_gap_root(c, q2, q1, 2)[0], 0.0, q2)
+        for i in np.flatnonzero(q1 > 0.0):
+            shares = map(Fraction, (0.0, q1[i], q2[i] - b2[i], b2[i]))
+            assert residual_products(exact, *shares)[1] > 0
+        for i in np.flatnonzero(q2 > 0.0):
+            shares = map(Fraction, (q1[i] - b1[i], b1[i], 0.0, q2[i]))
+            assert residual_products(exact, *shares)[3] > 0
 
     def test_symmetric_demand_quadratic_root(self):
         xb1, xb2, residual, count = solve_equilibria(CAL_VAL, np.array([0.5]), 1e-12)

@@ -126,7 +126,9 @@ def test_cli_import_loads_only_model_and_fileio(numpy_loads):
     [
         pytest.param("check", set(), {"calibration", "datagen", "equilibrium"}, id="check"),
         pytest.param("verify", set(), {"calibration", "datagen", "equilibrium"}, id="verify"),
+        pytest.param("solve", {"equilibrium"}, {"calibration", "datagen"}, id="solve"),
         pytest.param("sweep", {"equilibrium"}, {"calibration", "datagen"}, id="sweep"),
+        pytest.param("generate", {"datagen"}, {"calibration", "equilibrium"}, id="generate"),
         pytest.param("calibrate", {"calibration"}, {"datagen", "equilibrium"}, id="calibrate"),
     ],
 )
@@ -138,8 +140,12 @@ def test_each_command_loads_only_its_layers(tmp_path, numpy_loads, command, load
     argv = {
         "check": ["check", "--coeffs", coeffs],
         "verify": ["verify", "--coeffs", coeffs, "--data", data],
+        "solve": ["solve", "--coeffs", coeffs, "--q1", "0.5"],
         "sweep": ["sweep", "--coeffs", coeffs, "--range", "0.4:0.6", "--step", "0.05",
                   "--out", tmp_path / "out.csv"],
+        # One point, so no worker process starts.
+        "generate": ["generate", "--coeffs", coeffs, "--sweep", "1500:1500:50", "--n", "60",
+                     "--out", tmp_path / "out.csv"],
         "calibrate": ["calibrate", "--data", data, "--symmetry", "--solver", "heuristic"],
     }[command]
     loaded = loaded_after(
