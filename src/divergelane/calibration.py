@@ -120,15 +120,12 @@ class ViolationCount:
     """Output of :func:`count_violations`.
 
     ``flags`` holds one boolean per (point, condition) in the order
-    (f1, b1, f2, b2); ``positive_sum`` is the sum of the flagged products,
-    the search's tie-breaker, formed as the search forms it: numpy's
-    ``sum`` over all ``4K`` products in that order, the unflagged ones zeroed.
+    (f1, b1, f2, b2).
     """
 
     count: int
     flags: tuple[tuple[bool, bool, bool, bool], ...]
     products: np.ndarray = field(repr=False)
-    positive_sum: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -179,12 +176,11 @@ def count_violations(
             check_feasible(point.demand, point.flow)
         except FeasibilityError as exc:
             raise FeasibilityError(f"data point k={k}: {exc}") from exc
-    products, flags, count, positive_sum = _violations(c, _data_arrays(data), epsilon)
+    products, flags, count, _ = _violations(c, _data_arrays(data), epsilon)
     return ViolationCount(
         count=int(count[0]),
         flags=tuple(tuple(bool(v) for v in row) for row in flags.reshape(-1, 4)),
         products=products.reshape(-1, 4),
-        positive_sum=float(positive_sum[0]),
     )
 
 

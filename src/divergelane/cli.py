@@ -23,7 +23,9 @@ from .fileio import (
     write_dataset,
     write_dataset_columns,
 )
-from .model import DemandConfig, check_total_demand, max_residual, uniqueness_margins
+from .model import (
+    EQUILIBRIUM_TOL, DemandConfig, check_total_demand, max_residual, uniqueness_margins
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -33,6 +35,10 @@ EXIT_CONDITION_FAILED = 4
 #: Most points a ``sweep --range``/``--step`` or ``generate --sweep`` range
 #: may expand to.
 MAX_RANGE_POINTS = 10**6
+
+#: Largest residual product at which ``sweep``, and ``solve`` by default,
+#: certify a split as an equilibrium.
+CERTIFY_TOL = 1e-12
 
 _EPILOG = """\
 exit codes:
@@ -95,13 +101,11 @@ def _solve_demands(
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .equilibrium import SolverOptions
-
     coeffs = load_coefficients(args.coeffs)
     demand = DemandConfig(args.q1, 1.0 - args.q1)
-    tol = SolverOptions(convergence_tol=args.tol).convergence_tol
-    xb1, xb2, residual = (a.item() for a in _solve_demands(coeffs, np.array([demand.q1]), tol))
-    certified = residual <= tol
+    solved = _solve_demands(coeffs, np.array([demand.q1]), args.tol)
+    xb1, xb2, residual = (a.item() for a in solved)
+    certified = residual <= args.tol
     print("q1,q2,xf1,xb1,xf2,xb2,converged,max_residual")
     print(
         f"{demand.q1!r},{demand.q2!r},{demand.q1 - xb1!r},{xb1!r},{demand.q2 - xb2!r},{xb2!r},"
@@ -111,8 +115,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .equilibrium import SolverOptions
-
     coeffs = load_coefficients(args.coeffs)
     start, stop = _parse_fields(args.range, "START:STOP")
     q1 = np.array(_range_values(start, stop, args.step))
@@ -122,15 +124,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         first = q1[outside[0]].item()
         DemandConfig(first, 1.0 - first)
     check_total_demand(args.D)
-    tol = SolverOptions().convergence_tol
-    xb1, xb2, residual = _solve_demands(coeffs, q1, tol)
+    xb1, xb2, residual = _solve_demands(coeffs, q1, CERTIFY_TOL)
     # The solver clips each share to [0, q_i], so every row is a valid
     # DataPoint without building one.
     q2 = 1.0 - q1
     write_dataset_columns(
         args.out, q1, q2, q1 - xb1, xb1, q2 - xb2, xb2, np.full(q1.size, args.D)
     )
-    return EXIT_OK if residual.max() <= tol else EXIT_NO_CONVERGENCE
+    return EXIT_OK if residual.max() <= CERTIFY_TOL else EXIT_NO_CONVERGENCE
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one demand split and print the flow row")
     solve.add_argument("--coeffs", required=True, help="coefficients file")
     solve.add_argument("--q1", type=float, required=True, help="normalized exit-1 demand")
-    solve.add_argument("--tol", type=float, default=1e-12, help="certification tolerance")
+    solve.add_argument("--tol", type=float, default=CERTIFY_TOL, help="certification tolerance")
     solve.set_defaults(handler=_cmd_solve)
 
     sweep = sub.add_parser("sweep", help="solve a q1 range and write a dataset CSV")
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify dataset rows against coefficients")
     verify.add_argument("--coeffs", required=True)
     verify.add_argument("--data", required=True)
-    verify.add_argument("--tol", type=float, default=1e-9, help="equilibrium tolerance")
+    verify.add_argument("--tol", type=float, default=EQUILIBRIUM_TOL, help="equilibrium tolerance")
     verify.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -61,10 +61,6 @@ class AuxiliaryAction:
         if not (0 <= self.y1 < math.inf and 0 <= self.y2 < math.inf):
             raise ValueError(f"actions must be finite and non-negative, got {self.y1, self.y2}")
 
-    def action(self, link: int) -> float:
-        _check_link(link)
-        return self.y1 if link == 1 else self.y2
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -255,11 +251,9 @@ def nash_player_cost(
 ) -> float:
     """Squared lane-cost gap of one auxiliary-game player at action pair ``y``."""
     _check_link(link)
-    for l in (1, 2):
-        if y.action(l) > q.share(l) + 1e-12:
-            raise ValueError(
-                f"action y{l} = {y.action(l)!r} exceeds demand share q{l} = {q.share(l)!r}"
-            )
+    for l, y_l, q_l in ((1, y.y1, q.q1), (2, y.y2, q.q2)):
+        if y_l > q_l + 1e-12:
+            raise ValueError(f"action y{l} = {y_l!r} exceeds demand share q{l} = {q_l!r}")
     gap = cost_gaps(c, max(q.q1 - y.y1, 0.0), y.y1, max(q.q2 - y.y2, 0.0), y.y2)[link - 1]
     return gap * gap
 

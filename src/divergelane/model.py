@@ -158,14 +158,6 @@ class FlowDistribution:
             raise FeasibilityError(f"xb2 must lie in [0, q2={demand.q2}], got {xb2!r}")
         return cls(demand.q1 - xb1, xb1, demand.q2 - xb2, xb2)
 
-    def feed_share(self, link: int) -> float:
-        _check_link(link)
-        return self.xf1 if link == 1 else self.xf2
-
-    def bifurcating_share(self, link: int) -> float:
-        _check_link(link)
-        return self.xb1 if link == 1 else self.xb2
-
 
 @dataclass(frozen=True)
 class DivergeInstance:

@@ -253,12 +253,10 @@ class TestCountViolations:
         with pytest.raises(ValueError, match="epsilon"):
             count_violations(CAL_VAL, [point], epsilon)
 
-    def test_positive_sum_matches_flags(self):
+    def test_count_matches_flags(self):
         data = [equilibrium_point(CAL_VAL, 0.4), equilibrium_point(CAL_VAL, 0.6)]
         probe = CostCoefficients(3.0, 1.2, 2.0, 0.9, 0.4, 0.2, 0.8, 2.5)
         report = count_violations(probe, data, 1e-6)
-        flagged = report.products[np.array(report.flags)]
-        assert report.positive_sum == pytest.approx(float(flagged.sum()), abs=1e-15)
         assert report.count == int(np.array(report.flags).sum())
 
 

@@ -22,7 +22,6 @@ from divergelane import (
     DemandConfig,
     DivergeInstance,
     FlowDistribution,
-    SolverOptions,
     count_violations,
     format_dataset,
     load_dataset,
@@ -31,7 +30,8 @@ from divergelane import (
     write_coefficients,
     write_dataset,
 )
-from divergelane.cli import MAX_RANGE_POINTS, _range_values, main
+from divergelane.cli import CERTIFY_TOL, MAX_RANGE_POINTS, _range_values, build_parser, main
+from divergelane.model import EQUILIBRIUM_TOL
 
 from conftest import CAL_VAL, NOISY_FIVE_CSV, noisy_protocol_grid
 
@@ -78,6 +78,24 @@ class TestSolve:
         code, _, err = run(capsys, ["solve", "--coeffs", coeffs_file, "--q1", "1.5"])
         assert code == 1
         assert "error" in err
+
+    # At q1 = 0.5 the symmetric split's residual is exactly 0.0; at q1 = 0.3
+    # rounding leaves 3.7e-17, which tol 0 does not certify.
+    @pytest.mark.parametrize("q1, certified, exit_code", [("0.5", "true", 0), ("0.3", "false", 2)])
+    def test_zero_tol_certifies_only_a_zero_residual(
+        self, capsys, coeffs_file, q1, certified, exit_code
+    ):
+        code, out, err = run(capsys, ["solve", "--coeffs", coeffs_file, "--q1", q1, "--tol", "0"])
+        fields = out.strip().splitlines()[1].split(",")
+        assert (code, fields[6], err) == (exit_code, certified, "")
+        assert (float(fields[7]) == 0.0) == (certified == "true")
+
+    def test_default_tolerances(self):
+        parser = build_parser()
+        solve = parser.parse_args(["solve", "--coeffs", "c", "--q1", "0.5"])
+        verify = parser.parse_args(["verify", "--coeffs", "c", "--data", "d"])
+        assert solve.tol == CERTIFY_TOL == 1e-12
+        assert verify.tol == EQUILIBRIUM_TOL == 1e-9
 
 
 class TestCheck:
@@ -186,8 +204,7 @@ class TestSweepMatchesRows:
     def test_file_equals_rows_built_one_by_one(self, c, bounds, step, total):
         start, stop = bounds
         q1 = np.array(_range_values(start, stop, step))
-        tol = SolverOptions().convergence_tol
-        xb1, xb2, residual, _ = solve_equilibria(c, q1, tol)
+        xb1, xb2, residual, _ = solve_equilibria(c, q1, CERTIFY_TOL)
         rows = []
         for q, b1, b2 in zip(q1.tolist(), xb1.tolist(), xb2.tolist()):
             demand = DemandConfig(q, 1.0 - q)
@@ -199,7 +216,7 @@ class TestSweepMatchesRows:
             code = main(["sweep", "--coeffs", str(coeffs_path), "--range", f"{start!r}:{stop!r}",
                          "--step", repr(step), "--D", repr(total), "--out", str(out_path)])
             assert out_path.read_bytes() == format_dataset(rows).encode()
-        assert code == (0 if residual.max() <= tol else 2)
+        assert code == (0 if residual.max() <= CERTIFY_TOL else 2)
 
 
 class TestNonUniqueWarning:
@@ -264,7 +281,7 @@ class TestNonUniqueWarning:
         assert code == 0
         assert out == ""
         q1 = np.array([p.demand.q1 for p in load_dataset(out_path)])
-        *_, count = solve_equilibria(self.COEFFS, q1, SolverOptions().convergence_tol)
+        *_, count = solve_equilibria(self.COEFFS, q1, CERTIFY_TOL)
         multiple = np.flatnonzero(count > 1)
         assert multiple.size > 1
         (line,) = err.splitlines()
@@ -623,14 +640,14 @@ class TestNonFiniteInput:
         assert out == ""
         assert "xf1" in err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-0.001"])
     def test_non_finite_solver_tol_exits_1(self, capsys, coeffs_file, tol):
         code, out, err = run(
             capsys, ["solve", "--coeffs", coeffs_file, "--q1", "0.5", "--tol", tol]
         )
         assert code == 1
         assert out == ""
-        assert "convergence_tol" in err
+        assert err == f"error: tol must be finite and non-negative, got {float(tol)!r}\n"
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "-0.001"])
     def test_non_finite_verify_tol_exits_1(self, capsys, tmp_path, coeffs_file, tol):

@@ -204,11 +204,11 @@ def grid_objective(g, xb1, xb2):
     # functions, kept independent of the vectorized scan.
     x = FlowDistribution.from_bifurcating_shares(g.demand, xb1, xb2)
     total = 0.0
-    for link in (1, 2):
+    for link, feed, bifurcating in ((1, x.xf1, x.xb1), (2, x.xf2, x.xb2)):
         gap = feed_through_cost(g.costs, x, link) - bifurcating_cost(g.costs, x, link)
-        if x.feed_share(link) > 0.0:
+        if feed > 0.0:
             total += max(gap, 0.0)
-        if x.bifurcating_share(link) > 0.0:
+        if bifurcating > 0.0:
             total += max(-gap, 0.0)
     return total
 
