@@ -28,7 +28,8 @@ Two solvers share that encoding:
   (compass) search, with no pattern move: each sweep moves every restart at
   once to its best one-step neighbour, and the search ends after the first
   sweep in which a restart violates no condition and meets the uniqueness
-  condition.  Scalable to any size but only a heuristic certificate.
+  condition.  It scores its moves as rows of the MILP's condition matrix.
+  Scalable to any size but only a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -148,15 +149,6 @@ def _data_arrays(data: Sequence[DataPoint]) -> np.ndarray:
     return np.array([[getattr(p.flow, x) for p in data] for x in ("xf1", "xb1", "xf2", "xb2")])
 
 
-def _violations(c, a: np.ndarray, epsilon: float):
-    """Products of ``c`` (coefficients, or ``(M, 1)`` columns of ``M`` sets) as
-    a C-contiguous ``(M, 4K)`` matrix, point-major (f1, b1, f2, b2), and per
-    row the violation flags, their count and their masked sum."""
-    products = np.stack(residual_products(c, *a), -1).reshape(-1, 4 * a.shape[1])
-    flags = products > epsilon
-    return products, flags, flags.sum(axis=1), np.where(flags, products, 0.0).sum(axis=1)
-
-
 def count_violations(
     c: CostCoefficients, data: Sequence[DataPoint], epsilon: float = 1e-6
 ) -> ViolationCount:
@@ -176,15 +168,12 @@ def count_violations(
             check_feasible(point.demand, point.flow)
         except FeasibilityError as exc:
             raise FeasibilityError(f"data point k={k}: {exc}") from exc
-    products, flags, count, _ = _violations(c, _data_arrays(data), epsilon)
-    return ViolationCount(
-        count=int(count[0]),
-        flags=tuple(tuple(bool(v) for v in row) for row in flags.reshape(-1, 4)),
-        products=products.reshape(-1, 4),
-    )
+    products = np.stack(residual_products(c, *_data_arrays(data)), -1)
+    flags = products > epsilon
+    return ViolationCount(int(flags.sum()), tuple(map(tuple, flags.tolist())), products)
 
 
-#: ``(M, 1)`` coefficient columns, which the model reads as a CostCoefficients.
+#: Coefficient arrays, one per name, which the model reads as a CostCoefficients.
 _Columns = namedtuple("_Columns", COEFFICIENT_NAMES)
 
 
@@ -422,21 +411,31 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
 _BLOCK_PRODUCTS = 2**14
 
 
-def _objectives(theta: np.ndarray, arrays: np.ndarray, space: _VariableSpace, epsilon: float):
+def _products(theta: np.ndarray, conditions: np.ndarray, space: _VariableSpace) -> np.ndarray:
+    """Residual products of each row of ``theta``, ``(M, 4K)``: its linearized
+    values dotted with the rows of :func:`_condition_matrix`, by an ``einsum`` on
+    their contiguous transpose that rounds each row alone (BLAS rounds by M)."""
+    z = np.where(space.factor, theta * theta[:, space.rate, None], theta)
+    return np.einsum("mj,jk->mk", z, np.ascontiguousarray(conditions.T))
+
+
+def _objectives(theta: np.ndarray, conditions: np.ndarray, space: _VariableSpace, epsilon: float):
     """Lexicographic search objective of each row of ``theta``, ``(M, 3)``.
 
     Primary: violation count.  Secondary: summed positive parts of the
-    violated products.  Tertiary: deficit of the uniqueness condition, so
-    that among otherwise equivalent fits the solver prefers one whose
-    equilibrium predictions are certified unique.  No row depends on another.
+    violated products, rows of the MILP's condition matrix (:func:`_products`).
+    Tertiary: uniqueness deficit, so that among otherwise equivalent fits the
+    solver prefers one certified unique.  No row depends on another.
     """
-    rows = max(1, _BLOCK_PRODUCTS // (4 * arrays.shape[1]))
+    rows = max(1, _BLOCK_PRODUCTS // len(conditions))
     out = np.empty((len(theta), 3))
     for first in range(0, len(theta), rows):
-        c = _Columns(*(theta[first:first + rows, j, None] for j in space.tie))
-        _, _, count, positive = _violations(c, arrays, epsilon)
-        deficit = np.maximum(0.0, -np.minimum(*uniqueness_margins(c)))
-        out[first:first + rows] = np.column_stack((count, positive, deficit[:, 0]))
+        products = _products(theta[first:first + rows], conditions, space)
+        flags = products > epsilon
+        out[first:first + rows, 0] = flags.sum(axis=1)
+        out[first:first + rows, 1] = np.where(flags, products, 0.0).sum(axis=1)
+    c = _Columns(*(theta[:, j] for j in space.tie))
+    out[:, 2] = np.maximum(0.0, -np.minimum(*uniqueness_margins(c)))
     return out
 
 
@@ -493,7 +492,7 @@ _MAX_SWEEPS = 40
 
 
 def _lockstep_refine(
-    starts: np.ndarray, arrays: np.ndarray, space: _VariableSpace, epsilon: float
+    starts: np.ndarray, conditions: np.ndarray, space: _VariableSpace, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every start refined at once by a steepest compass search, and its
     objective.
@@ -513,7 +512,7 @@ def _lockstep_refine(
     directions = np.zeros((len(moves), lo.shape[0]))
     directions[moves, moves // 2] = 1.0 - 2 * (moves % 2)
     theta = starts.copy()
-    value = _objectives(theta, arrays, space, epsilon)
+    value = _objectives(theta, conditions, space, epsilon)
     if not value.any(axis=1).all():
         return theta, value
     for fraction in _STEP_FRACTIONS:
@@ -521,7 +520,7 @@ def _lockstep_refine(
         live = np.arange(len(theta))
         for _ in range(_MAX_SWEEPS):
             trials = np.clip(theta[live, None] + step, lo, hi)
-            scores = _objectives(trials.reshape(-1, lo.shape[0]), arrays, space, epsilon)
+            scores = _objectives(trials.reshape(-1, lo.shape[0]), conditions, space, epsilon)
             # Each row's own point stands first, so a stable sort keeps it
             # unless a move beats it, and keeps the first of tied moves.
             candidates = np.concatenate((value[live, None], scores.reshape(len(live), -1, 3)), 1)
@@ -559,7 +558,8 @@ def calibrate_search(
     ls = _least_squares_start(arrays, space)
     first = 0.5 * (lo + hi) if ls is None else ls
     starts = np.vstack((first, lo + rng.random((opts.restarts - 1, lo.shape[0])) * (hi - lo)))
-    thetas, values = _lockstep_refine(starts, arrays, space, opts.epsilon)
+    conditions = _condition_matrix(arrays, space)
+    thetas, values = _lockstep_refine(starts, conditions, space, opts.epsilon)
 
     # The first restart at the zero objective wins, since the search stopped
     # there; otherwise the least (objective, coefficients), the first on ties.

@@ -46,10 +46,11 @@ from divergelane.calibration import (
     _least_squares_start,
     _linear_rows,
     _objectives,
+    _products,
     _variable_space,
     linearized_values,
 )
-from divergelane.model import SYMMETRIC_TIE, cost_gaps
+from divergelane.model import SYMMETRIC_TIE, cost_gaps, residual_products
 
 from conftest import (
     CAL_VAL,
@@ -105,21 +106,21 @@ def noisy_point(rng, truth, sd):
     return DataPoint(demand=point.demand, flow=flow)
 
 
-def reference_objective(theta, arrays, space, epsilon):
+def reference_objective(theta, conditions, space, epsilon):
     """The search objective of one parameter vector, scored alone through
     the batched objective."""
-    count, positive, deficit = _objectives(theta[None, :], arrays, space, epsilon)[0].tolist()
+    count, positive, deficit = _objectives(theta[None, :], conditions, space, epsilon)[0].tolist()
     return (int(count), positive, deficit)
 
 
-def reference_refine(theta, arrays, space, epsilon, *, sweeps=None):
+def reference_refine(theta, conditions, space, epsilon, *, sweeps=None):
     """Steepest compass search from ``theta`` with a shrinking step, one
     restart alone.  Returns its objective, its point, and when it reached
     the zero objective: ``(step fraction index, sweep)``, ``(-1, 0)`` at the
     start, or None.  ``sweeps``, if given, receives the number of sweeps run
     at each step fraction before the zero objective."""
     theta = theta.copy()
-    value = reference_objective(theta, arrays, space, epsilon)
+    value = reference_objective(theta, conditions, space, epsilon)
     if value == (0, 0.0, 0.0):
         return value, theta, (-1, 0)
     lo, hi = space.lo, space.hi
@@ -132,7 +133,7 @@ def reference_refine(theta, arrays, space, epsilon, *, sweeps=None):
                     trial = theta.copy()
                     step = fraction * span[dim]
                     trial[dim] = min(max(trial[dim] + direction * step, lo[dim]), hi[dim])
-                    trial_value = reference_objective(trial, arrays, space, epsilon)
+                    trial_value = reference_objective(trial, conditions, space, epsilon)
                     if trial_value < (value if best is None else best[0]):
                         best = trial_value, trial
             if best is None:
@@ -162,9 +163,9 @@ def reference_search(data, opts):
     first restart to reach the zero objective, the lowest index among those
     that reach it in the same sweep, or else the best."""
     space = _variable_space(opts)
-    arrays = _data_arrays(data)
+    conditions = _condition_matrix(_data_arrays(data), space)
     runs = [
-        reference_refine(start, arrays, space, opts.epsilon)
+        reference_refine(start, conditions, space, opts.epsilon)
         for start in reference_starts(data, opts)
     ]
     reached = [(when, i) for i, (_, _, when) in enumerate(runs) if when is not None]
@@ -475,6 +476,58 @@ class TestSymmetryTie:
         }
 
 
+class TestSearchKernel:
+    """The search scores its rows as the MILP's condition rows dotted with
+    their linearized values, not through the elementwise cost kernel."""
+
+    @settings(max_examples=300)
+    @given(
+        points=feasible_points(),
+        symmetry=st.booleans(),
+        u=st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8), min_size=1, max_size=4),
+        epsilon=st.sampled_from((1e-6, 1e-3, 1e-2)),
+    )
+    def test_products_and_count_match_the_elementwise_kernel(self, points, symmetry, u, epsilon):
+        space = _variable_space(CalibrationOptions(symmetry=symmetry))
+        theta = space.lo + np.array(u)[:, : len(space.names)] * (space.hi - space.lo)
+        theta = np.minimum(theta, space.hi)
+        arrays = _data_arrays(points)
+        conditions = _condition_matrix(arrays, space)
+        products = _products(theta, conditions, space)
+        counts = _objectives(theta, conditions, space, epsilon)[:, 0]
+        for row, actual, count in zip(theta, products, counts):
+            c = space.coefficients(row)
+            expected = np.stack(residual_products(c, *arrays), -1).ravel()
+            tol = 1e-12 * max(1.0, float(np.abs(expected).max()))
+            np.testing.assert_allclose(actual, expected, rtol=0, atol=tol)
+            if not np.any(np.abs(expected - epsilon) <= tol):
+                assert count == count_violations(c, points, epsilon).count
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_rows_score_alike_in_any_block(self, symmetry):
+        # A row's objective may not depend on the rows scored with it.  A
+        # BLAS matrix product breaks this: its rounding of a row depends on
+        # the block's shape, so a restart scored alone would not follow the
+        # path it follows among the others.
+        data = noisy_protocol_grid()
+        space = _variable_space(CalibrationOptions(symmetry=symmetry))
+        conditions = _condition_matrix(_data_arrays(data), space)
+        rng = np.random.default_rng(11)
+        rows, others = (
+            space.lo + rng.random((m, len(space.names))) * (space.hi - space.lo) for m in (40, 3000)
+        )
+        mixed = np.empty((len(rows) + len(others), len(space.names)))
+        at = rng.permutation(len(mixed))[: len(rows)]
+        mixed[at] = rows
+        mixed[np.setdiff1d(np.arange(len(mixed)), at)] = others
+        assert len(mixed) > 4 * (calibration._BLOCK_PRODUCTS // len(conditions))
+        expected = _objectives(rows, conditions, space, 1e-3)
+        alone = [_objectives(row[None, :], conditions, space, 1e-3)[0] for row in rows]
+        assert np.array_equal(np.array(alone), expected)
+        assert np.array_equal(_objectives(rows[::-1], conditions, space, 1e-3)[::-1], expected)
+        assert np.array_equal(_objectives(mixed, conditions, space, 1e-3)[at], expected)
+
+
 class TestDefaultBox:
     """Both solvers search the module's one coefficient box."""
 
@@ -745,10 +798,11 @@ class TestCalibrateSearch:
         flow = FlowDistribution.from_bifurcating_shares(demand, 0.36786159834750215, 0.0)
         data = [DataPoint(demand, flow)]
         opts = CalibrationOptions(epsilon=1e-2, symmetry=True, restarts=4, seed=2)
-        space, arrays = _variable_space(opts), _data_arrays(data)
+        space = _variable_space(opts)
+        conditions = _condition_matrix(_data_arrays(data), space)
         sweeps = [[] for _ in range(opts.restarts)]
         runs = [
-            reference_refine(start, arrays, space, opts.epsilon, sweeps=ran)
+            reference_refine(start, conditions, space, opts.epsilon, sweeps=ran)
             for start, ran in zip(reference_starts(data, opts), sweeps)
         ]
         assert [when for _, _, when in runs] == [(2, 1), (1, 0), (1, 0), (1, 1)]
@@ -833,13 +887,14 @@ class TestLongChain:
 
     def test_creeping_restart_matches_reference(self, data):
         opts = CalibrationOptions(epsilon=1e-3, symmetry=True)
-        space, arrays = _variable_space(opts), _data_arrays(data)
+        space = _variable_space(opts)
+        conditions = _condition_matrix(_data_arrays(data), space)
         start = reference_starts(data, opts)[180]
         sweeps = []
-        value, theta, _ = reference_refine(start, arrays, space, opts.epsilon, sweeps=sweeps)
+        value, theta, _ = reference_refine(start, conditions, space, opts.epsilon, sweeps=sweeps)
         assert sum(count == 40 for count in sweeps) >= 3
         thetas, values = calibration._lockstep_refine(
-            start[None, :], arrays, space, opts.epsilon
+            start[None, :], conditions, space, opts.epsilon
         )
         assert thetas[0].tolist() == theta.tolist()
         count, positive, deficit = values[0].tolist()
@@ -849,15 +904,16 @@ class TestLongChain:
         # At the default block size both the rows below and the first sweep
         # of the search (20 restarts, 16 moves each) span several blocks.
         opts = CalibrationOptions(epsilon=1e-3, restarts=20)
-        space, arrays = _variable_space(opts), _data_arrays(data)
+        space = _variable_space(opts)
+        conditions = _condition_matrix(_data_arrays(data), space)
         rng = np.random.default_rng(5)
         theta = space.lo + rng.random((1000, len(space.lo))) * (space.hi - space.lo)
         per_block = calibration._BLOCK_PRODUCTS // (4 * len(data))
         assert per_block < min(len(theta), opts.restarts * 2 * len(space.lo))
-        expected = _objectives(theta, arrays, space, opts.epsilon)
+        expected = _objectives(theta, conditions, space, opts.epsilon)
         fit = calibrate_search(data, opts)
         monkeypatch.setattr(calibration, "_BLOCK_PRODUCTS", 1)
-        assert np.array_equal(_objectives(theta, arrays, space, opts.epsilon), expected)
+        assert np.array_equal(_objectives(theta, conditions, space, opts.epsilon), expected)
         assert calibrate_search(data, opts) == fit
 
     @pytest.mark.parametrize("symmetry, before", [(True, 1925), (False, 1288)])
