@@ -59,6 +59,7 @@ from .model import (
     check_uniqueness_condition,
     cost_gaps,
     residual_products,
+    share_matrix,
     uniqueness_margins,
 )
 
@@ -85,7 +86,7 @@ MILP_NODE_LIMIT = 10_000
 
 
 class ConfigurationError(ValueError):
-    """HiGHS returned no solution for the calibration MILP."""
+    """HiGHS rejected the calibration MILP or returned no solution for it."""
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,6 @@ class CalibrationResult:
 # Shared encoding helpers
 
 
-def _data_arrays(data: Sequence[DataPoint]) -> np.ndarray:
-    """The class shares of ``data`` as a C-contiguous ``(4, K)`` matrix, one
-    row each for xf1, xb1, xf2 and xb2, so ``residual_products(c, *a)``
-    reads them."""
-    return np.array([[getattr(p.flow, x) for p in data] for x in ("xf1", "xb1", "xf2", "xb2")])
-
-
 def count_violations(
     c: CostCoefficients, data: Sequence[DataPoint], epsilon: float = 1e-6
 ) -> ViolationCount:
@@ -168,7 +162,7 @@ def count_violations(
             check_feasible(point.demand, point.flow)
         except FeasibilityError as exc:
             raise FeasibilityError(f"data point k={k}: {exc}") from exc
-    products = np.stack(residual_products(c, *_data_arrays(data)), -1)
+    products = np.stack(residual_products(c, *share_matrix(data)), -1)
     flags = products > epsilon
     return ViolationCount(int(flags.sum()), tuple(map(tuple, flags.tolist())), products)
 
@@ -187,7 +181,8 @@ class _VariableSpace:
     ``box`` bounds its linearized variable, which for a factor is the
     product with the rate ``cb``, and each ``coupling_matrix`` row
     (``row . z <= 0``) ties such a product to its factor's bounds times the
-    rate variable.
+    rate variable.  HiGHS drops values <= 1e-9, so it reads a lower row as
+    ``-product <= 0``; ``box`` and :func:`_recover_parameters` keep the floor.
     """
 
     tie: tuple[int, ...]
@@ -339,14 +334,15 @@ def build_milp(
     a margin ``s`` in [0, 1].  Condition ``k`` gives the row
     ``A_k.z - T_k*e_k + eps*s <= eps``, where ``T_k`` is the largest value
     ``A_k.z`` takes on the box, so ``e_k = 1`` releases the row; the
-    factor-coupling rows follow.  The objective is ``sum(e) - s/2``.
+    factor-coupling rows follow (HiGHS drops their ``FACTOR_FLOOR`` entries:
+    see :class:`_VariableSpace`).  The objective is ``sum(e) - s/2``.
     """
     # scipy loads here, not at import, so commands without a MILP skip its
     # import time and memory.
     from scipy.optimize import Bounds, LinearConstraint
 
     space = _variable_space(opts)
-    A = _condition_matrix(_data_arrays(data), space)
+    A = _condition_matrix(share_matrix(data), space)
     m, n = A.shape
     lo, hi = np.array(space.box).T
     T = np.maximum(0.0, np.maximum(A * lo, A * hi).sum(axis=1))
@@ -396,7 +392,8 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
             options={"node_limit": MILP_NODE_LIMIT},
         )
     if result.x is None:
-        raise ConfigurationError(f"the calibration MILP has no solution: {result.message}")
+        problem = "is rejected by HiGHS" if "Model error" in result.message else "has no solution"
+        raise ConfigurationError(f"the calibration MILP {problem}: {result.message}")
     coefficients = space.coefficients(_recover_parameters(result.x[: len(space.names)], space))
     return _result(coefficients, data, opts.epsilon, math.ceil(result.mip_dual_bound - 1e-6))
 
@@ -551,7 +548,7 @@ def calibrate_search(
     if len(data) == 0:
         raise ValueError("data must be non-empty")
     space = _variable_space(opts)
-    arrays = _data_arrays(data)
+    arrays = share_matrix(data)
     lo, hi = space.lo, space.hi
     rng = np.random.default_rng(opts.seed)
 

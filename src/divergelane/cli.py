@@ -24,7 +24,8 @@ from .fileio import (
     write_dataset_columns,
 )
 from .model import (
-    EQUILIBRIUM_TOL, DemandConfig, check_total_demand, max_residual, uniqueness_margins
+    EQUILIBRIUM_TOL, DemandConfig, check_total_demand, max_residual, share_matrix,
+    uniqueness_margins,
 )
 
 EXIT_OK = 0
@@ -198,10 +199,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not 0 <= args.tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {args.tol!r}")
     # load_dataset has checked feasibility, so the residuals decide.
-    xf1, xb1, xf2, xb2 = np.array(
-        [(p.flow.xf1, p.flow.xb1, p.flow.xf2, p.flow.xb2) for p in data]
-    ).T
-    residuals = max_residual(coeffs, xf1, xb1, xf2, xb2).tolist()
+    residuals = max_residual(coeffs, *share_matrix(data)).tolist()
     rows = ["k,max_residual,pass"]
     for k, residual in enumerate(residuals, start=1):
         rows.append(f"{k},{residual!r},{_bool_text(residual <= args.tol)}")

@@ -8,8 +8,8 @@ Datasets are plain CSV with the fixed header
 :func:`format_dataset_columns`, writes every dataset: it takes the seven
 value columns as sequences or arrays and writes each value as ``repr`` of
 a Python float, so parse(serialize(x)) == x exactly.  :func:`format_dataset`
-feeds it the columns of a list of rows.  Keys, mirrors, row type and
-validation are the model's schema.
+feeds it the columns of a list of rows.  Keys, mirrors, row type, share
+order and validation are the model's schema.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .model import (
     DataPoint,
     DemandConfig,
     FlowDistribution,
+    share_matrix,
 )
 
 DATASET_HEADER = "k,q1,q2,xf1,xb1,xf2,xb2,total_demand_vph"
@@ -176,10 +177,7 @@ def format_dataset(points: Sequence[DataPoint]) -> str:
     return format_dataset_columns(
         [p.demand.q1 for p in points],
         [p.demand.q2 for p in points],
-        [p.flow.xf1 for p in points],
-        [p.flow.xb1 for p in points],
-        [p.flow.xf2 for p in points],
-        [p.flow.xb2 for p in points],
+        *share_matrix(points),
         [p.total_demand_vph for p in points],
     )
 

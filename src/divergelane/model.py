@@ -14,14 +14,15 @@ expresses through four signed residual products (one per lane class).
 four shares as floats or as numpy arrays of one shape, so the solvers, the
 calibrator and the simulator all evaluate the same arithmetic.  The module
 is also the one statement of the data schema that the others read: the
-coefficient names, kinds, admissible ranges and symmetric tie, and the
-dataset row :class:`DataPoint`.  Every function here is pure.
+coefficient names, kinds, admissible ranges and symmetric tie, and the rows
+(:class:`DataPoint`, their :func:`share_matrix`).  Every function is pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -222,6 +223,11 @@ def check_total_demand(total_demand_vph: float) -> None:
     and non-negative."""
     if not 0 <= total_demand_vph < math.inf:
         raise ValueError(f"total_demand_vph must be finite and >= 0, got {total_demand_vph!r}")
+
+
+def share_matrix(points: Sequence[DataPoint]) -> np.ndarray:
+    """Shares xf1, xb1, xf2, xb2 of ``points`` in the kernel's order: C-contiguous ``(4, K)``."""
+    return np.array([[getattr(p.flow, x) for p in points] for x in ("xf1", "xb1", "xf2", "xb2")])
 
 
 def lane_costs(c: CostCoefficients, xf1, xb1, xf2, xb2):

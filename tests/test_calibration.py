@@ -42,7 +42,6 @@ from divergelane.calibration import (
     RATE_BOUNDS,
     CalibrationResult,
     _condition_matrix,
-    _data_arrays,
     _least_squares_start,
     _linear_rows,
     _objectives,
@@ -50,7 +49,7 @@ from divergelane.calibration import (
     _variable_space,
     linearized_values,
 )
-from divergelane.model import SYMMETRIC_TIE, cost_gaps, residual_products
+from divergelane.model import SYMMETRIC_TIE, cost_gaps, residual_products, share_matrix
 
 from conftest import (
     CAL_VAL,
@@ -75,7 +74,7 @@ def enumerate_min_violations(data, opts):
     order) and return the first count whose satisfied conditions can all
     hold at the counting margin (product <= epsilon) somewhere in the box."""
     space = _variable_space(opts)
-    matrix = _condition_matrix(_data_arrays(data), space)
+    matrix = _condition_matrix(share_matrix(data), space)
     n = matrix.shape[0]
     for count in range(n + 1):
         for violated in itertools.combinations(range(n), count):
@@ -151,7 +150,7 @@ def reference_starts(data, opts):
     space = _variable_space(opts)
     lo, hi = space.lo, space.hi
     rng = np.random.default_rng(opts.seed)
-    ls = _least_squares_start(_data_arrays(data), space)
+    ls = _least_squares_start(share_matrix(data), space)
     starts = [0.5 * (lo + hi) if ls is None else np.clip(ls, lo, hi)]
     for _ in range(opts.restarts - 1):
         starts.append(lo + rng.random(lo.shape[0]) * (hi - lo))
@@ -163,7 +162,7 @@ def reference_search(data, opts):
     first restart to reach the zero objective, the lowest index among those
     that reach it in the same sweep, or else the best."""
     space = _variable_space(opts)
-    conditions = _condition_matrix(_data_arrays(data), space)
+    conditions = _condition_matrix(share_matrix(data), space)
     runs = [
         reference_refine(start, conditions, space, opts.epsilon)
         for start in reference_starts(data, opts)
@@ -304,7 +303,7 @@ class TestBuildMilp:
         rng = np.random.default_rng(67)
         data = [equilibrium_point(CAL_VAL, 0.45), equilibrium_point(CAL_VAL, 0.55)]
         data += [noisy_point(rng, random_coefficients(rng), 0.02) for _ in range(3)]
-        arrays = _data_arrays(data)
+        arrays = share_matrix(data)
         fixed = CostCoefficients(2.0, 2.0, 2.0, 0.8, 0.8, 0.3, 0.3, 1.5)
         for symmetry in (False, True):
             opts = CalibrationOptions(symmetry=symmetry)
@@ -347,7 +346,7 @@ class TestBuildMilp:
                     gap2[[col("cf2"), col("cb_lambda2"), col("cb_mu2")]] = (xf2, -xb2, -xb1)
                 gap1[col("nu")] = gap2[col("nu")] = -(xb1 * xb2)
                 expected += [xf1 * gap1, -xb1 * gap1, xf2 * gap2, -xb2 * gap2]
-            actual = _condition_matrix(_data_arrays(data), space)
+            actual = _condition_matrix(share_matrix(data), space)
             assert np.array_equal(actual, np.array(expected))
 
     def test_encoding_soundness(self):
@@ -398,7 +397,7 @@ class TestPinnedMilp:
         data = grid[::stride]
         opts = CalibrationOptions(epsilon=1e-3, symmetry=symmetry)
         c, integrality, bounds, constraints = build_milp(data, opts)
-        start = _least_squares_start(_data_arrays(data), _variable_space(opts))
+        start = _least_squares_start(share_matrix(data), _variable_space(opts))
         digest = hashlib.sha256(b"no start" if start is None else b"")
         arrays = (c, integrality, bounds.lb, bounds.ub, constraints.A, constraints.ub)
         for array in arrays if start is None else (*arrays, start):
@@ -445,7 +444,7 @@ class TestSymmetryTie:
     def test_symmetric_space_is_the_tied_asymmetric_one(self, points, u):
         sym = _variable_space(CalibrationOptions(symmetry=True))
         assert sym.names == ("cf", "cb_lambda", "cb_mu", "nu")
-        arrays = _data_arrays(points)
+        arrays = share_matrix(points)
         # At most one entry per group is non-zero, so the sums are exact.
         asym = _variable_space(CalibrationOptions())
         assert np.array_equal(
@@ -491,7 +490,7 @@ class TestSearchKernel:
         space = _variable_space(CalibrationOptions(symmetry=symmetry))
         theta = space.lo + np.array(u)[:, : len(space.names)] * (space.hi - space.lo)
         theta = np.minimum(theta, space.hi)
-        arrays = _data_arrays(points)
+        arrays = share_matrix(points)
         conditions = _condition_matrix(arrays, space)
         products = _products(theta, conditions, space)
         counts = _objectives(theta, conditions, space, epsilon)[:, 0]
@@ -511,7 +510,7 @@ class TestSearchKernel:
         # path it follows among the others.
         data = noisy_protocol_grid()
         space = _variable_space(CalibrationOptions(symmetry=symmetry))
-        conditions = _condition_matrix(_data_arrays(data), space)
+        conditions = _condition_matrix(share_matrix(data), space)
         rng = np.random.default_rng(11)
         rows, others = (
             space.lo + rng.random((m, len(space.names))) * (space.hi - space.lo) for m in (40, 3000)
@@ -799,7 +798,7 @@ class TestCalibrateSearch:
         data = [DataPoint(demand, flow)]
         opts = CalibrationOptions(epsilon=1e-2, symmetry=True, restarts=4, seed=2)
         space = _variable_space(opts)
-        conditions = _condition_matrix(_data_arrays(data), space)
+        conditions = _condition_matrix(share_matrix(data), space)
         sweeps = [[] for _ in range(opts.restarts)]
         runs = [
             reference_refine(start, conditions, space, opts.epsilon, sweeps=ran)
@@ -864,7 +863,7 @@ class TestCalibrateSearch:
             DataPoint(DemandConfig(0.7, 0.3), FlowDistribution(0.0, 0.7, 0.3, 0.0)),
         ]
         opts = CalibrationOptions(symmetry=symmetry, restarts=3, seed=4)
-        assert _least_squares_start(_data_arrays(data), _variable_space(opts)) is None
+        assert _least_squares_start(share_matrix(data), _variable_space(opts)) is None
         assert calibrate_search(data, opts) == reference_search(data, opts)
 
     def test_deterministic_given_seed(self):
@@ -888,7 +887,7 @@ class TestLongChain:
     def test_creeping_restart_matches_reference(self, data):
         opts = CalibrationOptions(epsilon=1e-3, symmetry=True)
         space = _variable_space(opts)
-        conditions = _condition_matrix(_data_arrays(data), space)
+        conditions = _condition_matrix(share_matrix(data), space)
         start = reference_starts(data, opts)[180]
         sweeps = []
         value, theta, _ = reference_refine(start, conditions, space, opts.epsilon, sweeps=sweeps)
@@ -905,7 +904,7 @@ class TestLongChain:
         # of the search (20 restarts, 16 moves each) span several blocks.
         opts = CalibrationOptions(epsilon=1e-3, restarts=20)
         space = _variable_space(opts)
-        conditions = _condition_matrix(_data_arrays(data), space)
+        conditions = _condition_matrix(share_matrix(data), space)
         rng = np.random.default_rng(5)
         theta = space.lo + rng.random((1000, len(space.lo))) * (space.hi - space.lo)
         per_block = calibration._BLOCK_PRODUCTS // (4 * len(data))

@@ -499,6 +499,22 @@ class TestCalibrate:
         assert out == ""
         assert err == "error: the calibration MILP has no solution: no point found\n"
 
+    def test_milp_rejected_by_highs_exits_1(self, capsys, tmp_path):
+        # epsilon is the margin column's matrix value, and HiGHS rejects a
+        # model holding a value of 1e15 (scipy gives that model error the
+        # status of an infeasible MILP).  The MILP has solutions: the same
+        # data certifies 0 violations at 1e14.
+        path = tmp_path / "noisy.csv"
+        path.write_text(NOISY_FIVE_CSV)
+        argv = ["calibrate", "--data", path, "--solver", "exact", "--tol"]
+        code, out, _ = run(capsys, [*argv, "1e14"])
+        assert code == 0
+        assert "certificate = exact\nviolations = 0\n" in out
+        code, out, err = run(capsys, [*argv, "1e15"])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the calibration MILP is rejected by HiGHS: ")
+
     def test_negative_seed_exits_1(self, capsys, sweep_file):
         code, _, err = run(capsys, ["calibrate", "--data", sweep_file, "--seed", "-1"])
         assert code == 1

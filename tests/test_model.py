@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divergelane import (
@@ -25,7 +25,8 @@ from divergelane import (
     wardrop_residuals,
 )
 
-from divergelane.model import COEFFICIENT_NAMES, FACTOR_NAMES, RATE_NAMES
+from divergelane.fileio import format_dataset, parse_dataset
+from divergelane.model import COEFFICIENT_NAMES, FACTOR_NAMES, RATE_NAMES, share_matrix
 
 from conftest import (
     CAL_VAL,
@@ -221,6 +222,21 @@ class TestInvariants:
         for row, point in zip(products, data):
             residuals = wardrop_residuals(DivergeInstance(point.demand, c), point.flow)
             assert [float(v).hex() for v in row] == [v.hex() for v in residuals.as_tuple()]
+
+    @settings(max_examples=300)
+    @given(data=st.lists(data_points(), max_size=15))
+    @example(data=[])
+    def test_share_matrix_holds_each_points_shares(self, data):
+        # Rows xf1, xb1, xf2, xb2, bit for bit, in the order the residual
+        # kernel takes them; the dataset writer reads it, and still
+        # round-trips exactly.
+        matrix = share_matrix(data)
+        assert matrix.shape == (4, len(data))
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        for column, p in zip(matrix.T.tolist(), data):
+            expected = [p.flow.xf1, p.flow.xb1, p.flow.xf2, p.flow.xb2]
+            assert [v.hex() for v in column] == [float(v).hex() for v in expected]
+        assert parse_dataset(format_dataset(data)) == data
 
     @settings(max_examples=300)
     @given(
