@@ -177,12 +177,7 @@ class _VariableSpace:
 
     ``tie[k]`` is the parameter of coefficient ``k`` (``COEFFICIENT_NAMES``
     order) and ``factor`` marks the parameters of the capacity factors.
-    ``lo``/``hi`` bound each parameter as a coefficient (the search box);
-    ``box`` bounds its linearized variable, which for a factor is the
-    product with the rate ``cb``, and each ``coupling_matrix`` row
-    (``row . z <= 0``) ties such a product to its factor's bounds times the
-    rate variable.  HiGHS drops values <= 1e-9, so it reads a lower row as
-    ``-product <= 0``; ``box`` and :func:`_recover_parameters` keep the floor.
+    ``lo``/``hi`` bound each parameter as a coefficient (the search box).
     """
 
     tie: tuple[int, ...]
@@ -190,8 +185,6 @@ class _VariableSpace:
     factor: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    box: tuple[tuple[float, float], ...]
-    coupling_matrix: np.ndarray
 
     @property
     def rate(self) -> int:
@@ -203,35 +196,28 @@ class _VariableSpace:
         values = theta.tolist()
         return CostCoefficients(*(values[j] for j in self.tie))
 
+    def linearize(self, theta: np.ndarray) -> np.ndarray:
+        """Linearized values of parameter values ``theta`` (any leading
+        shape): each factor parameter times the ``cb`` parameter, the rest
+        as they are."""
+        return np.where(self.factor, theta * theta[..., self.rate, None], theta)
+
 
 def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
     tie, names = _TIES[opts.symmetry]
     factor = np.zeros(len(names), dtype=bool)
     factor[[tie[COEFFICIENT_NAMES.index(name)] for name in FACTOR_NAMES]] = True
     lo, hi = np.where(factor[:, None], FACTOR_BOUNDS, RATE_BOUNDS).T
-    rate = tie[_CB]
-    box = tuple(
-        (lo[j] * lo[rate], hi[j] * hi[rate]) if factor[j] else (lo[j], hi[j])
-        for j in range(len(names))
-    )
-    matrix = np.zeros((2 * int(factor.sum()), len(names)))
-    for r, j in enumerate(np.flatnonzero(factor)):
-        matrix[2 * r, [j, rate]] = (1.0, -hi[j])  # product <= ub * rate
-        matrix[2 * r + 1, [j, rate]] = (-1.0, lo[j])  # product >= lb * rate
-    return _VariableSpace(tie, names, factor, lo, hi, box, matrix)
+    return _VariableSpace(tie, names, factor, lo, hi)
 
 
 def linearized_values(c: CostCoefficients, symmetry: bool) -> dict[str, float]:
     """Map a coefficient vector into the linearized variable space (a tied
     parameter takes the value of the first coefficient in its group)."""
-    tie, names = _TIES[symmetry]
-    values = c.as_tuple()
-    linearized: dict[str, float] = {}
-    for k, j in enumerate(tie):
-        if names[j] not in linearized:
-            factor = COEFFICIENT_NAMES[k] in FACTOR_NAMES
-            linearized[names[j]] = c.cb * values[k] if factor else values[k]
-    return linearized
+    space = _variable_space(CalibrationOptions(symmetry=symmetry))
+    first = [space.tie.index(j) for j in range(len(space.names))]
+    theta = np.array(c.as_tuple())[first]
+    return dict(zip(space.names, space.linearize(theta).tolist()))
 
 
 def _linear_rows(kernel, a: np.ndarray, space: _VariableSpace) -> tuple[np.ndarray, ...]:
@@ -241,11 +227,12 @@ def _linear_rows(kernel, a: np.ndarray, space: _VariableSpace) -> tuple[np.ndarr
 
     Each quantity is linear in the linearized variables, so column j is the
     kernel evaluated with variable j at 1 and every other at 0: the
-    coefficients tied to j are 1, and for a factor product so is ``cb``.
+    coefficients tied to j are 1, and ``cb``, which the kernel reads only
+    times a factor, is 1 in every column.
     """
     columns = np.eye(len(space.names))
     c = [columns[j] for j in space.tie]
-    c[_CB] = columns[space.rate] + space.factor
+    c[_CB] = np.ones(len(space.names))
     return kernel(_Columns(*c), *a[:, :, None])
 
 
@@ -333,9 +320,10 @@ def build_milp(
     binary ``e`` per condition (row order of :func:`_condition_matrix`), and
     a margin ``s`` in [0, 1].  Condition ``k`` gives the row
     ``A_k.z - T_k*e_k + eps*s <= eps``, where ``T_k`` is the largest value
-    ``A_k.z`` takes on the box, so ``e_k = 1`` releases the row; the
-    factor-coupling rows follow (HiGHS drops their ``FACTOR_FLOOR`` entries:
-    see :class:`_VariableSpace`).  The objective is ``sum(e) - s/2``.
+    ``A_k.z`` takes on the box, so ``e_k = 1`` releases the row.  One
+    coupling row per factor, ``product - hi*cb <= 0``, follows; the factor
+    floor holds through the product's column bound and the clip in
+    :func:`_recover_parameters`.  The objective is ``sum(e) - s/2``.
     """
     # scipy loads here, not at import, so commands without a MILP skip its
     # import time and memory.
@@ -344,10 +332,11 @@ def build_milp(
     space = _variable_space(opts)
     A = _condition_matrix(share_matrix(data), space)
     m, n = A.shape
-    lo, hi = np.array(space.box).T
+    lo, hi = space.linearize(space.lo), space.linearize(space.hi)
     T = np.maximum(0.0, np.maximum(A * lo, A * hi).sum(axis=1))
     eps = opts.epsilon
-    coupling = space.coupling_matrix
+    coupling = np.eye(n)[space.factor]
+    coupling[:, space.rate] = -space.hi[space.factor]
     rows = np.block(
         [
             [A, -np.diag(T), np.full((m, 1), eps)],
@@ -412,8 +401,7 @@ def _products(theta: np.ndarray, conditions: np.ndarray, space: _VariableSpace) 
     """Residual products of each row of ``theta``, ``(M, 4K)``: its linearized
     values dotted with the rows of :func:`_condition_matrix`, by an ``einsum`` on
     their contiguous transpose that rounds each row alone (BLAS rounds by M)."""
-    z = np.where(space.factor, theta * theta[:, space.rate, None], theta)
-    return np.einsum("mj,jk->mk", z, np.ascontiguousarray(conditions.T))
+    return np.einsum("mj,jk->mk", space.linearize(theta), np.ascontiguousarray(conditions.T))
 
 
 def _objectives(theta: np.ndarray, conditions: np.ndarray, space: _VariableSpace, epsilon: float):

@@ -99,14 +99,20 @@ def noiseless_protocol_dataset(
     return points
 
 
-def noisy_protocol_grid(grid: int = 5000, sd: float = 0.01, seed: int = 2019) -> list[DataPoint]:
+def noisy_protocol_grid(
+    grid: int = 5000,
+    sd: float = 0.01,
+    seed: int = 2019,
+    sweep_vph: tuple[float, ...] = PROTOCOL_SWEEP_VPH,
+) -> list[DataPoint]:
     """The benchmark's calibration input, rebuilt: equilibria of ``CAL_VAL``
-    over the demand protocol plus Gaussian share noise of standard deviation
-    ``sd``, snapped to multiples of ``1/grid``.  At a margin of 1e-3 no fit
-    satisfies every condition, so the search runs all its restarts."""
+    over the demand protocol (or ``sweep_vph``) plus Gaussian share noise of
+    standard deviation ``sd``, snapped to multiples of ``1/grid``.  At a
+    margin of 1e-3 no fit satisfies every condition, so the search runs all
+    its restarts."""
     rng = np.random.default_rng(seed)
     points = []
-    for d1 in PROTOCOL_SWEEP_VPH:
+    for d1 in sweep_vph:
         q1 = d1 / PROTOCOL_TOTAL_VPH
         n1 = int(round(grid * q1))
         n2 = grid - n1

@@ -46,6 +46,7 @@ from divergelane.calibration import (
     _linear_rows,
     _objectives,
     _products,
+    _recover_parameters,
     _variable_space,
     linearized_values,
 )
@@ -69,23 +70,33 @@ def equilibrium_point(c, q1, total_vph=3000.0):
     return DataPoint(demand=demand, flow=report.flow, total_demand_vph=total_vph)
 
 
+def milp_box(data, opts):
+    """:func:`build_milp`'s region for the linearized variables: their
+    column bounds as (lower, upper) pairs, and the factor-coupling rows
+    (``rows . z <= ub``) that follow the condition rows."""
+    _, _, bounds, constraints = build_milp(data, opts)
+    n = len(_variable_space(opts).names)
+    rows = np.asarray(constraints.A)[4 * len(data):, :n]
+    return list(zip(bounds.lb[:n], bounds.ub[:n])), rows, constraints.ub[4 * len(data):]
+
+
 def enumerate_min_violations(data, opts):
     """Oracle: try every indicator assignment (in increasing violation
     order) and return the first count whose satisfied conditions can all
-    hold at the counting margin (product <= epsilon) somewhere in the box."""
+    hold at the counting margin (product <= epsilon) somewhere in the
+    MILP's box."""
     space = _variable_space(opts)
     matrix = _condition_matrix(share_matrix(data), space)
+    box, coupling, coupling_ub = milp_box(data, opts)
     n = matrix.shape[0]
     for count in range(n + 1):
         for violated in itertools.combinations(range(n), count):
             satisfied = [i for i in range(n) if i not in violated]
             result = linprog(
                 np.zeros(len(space.names)),
-                A_ub=np.vstack((matrix[satisfied], space.coupling_matrix)),
-                b_ub=np.concatenate(
-                    (np.full(len(satisfied), opts.epsilon), np.zeros(len(space.coupling_matrix)))
-                ),
-                bounds=list(space.box),
+                A_ub=np.vstack((matrix[satisfied], coupling)),
+                b_ub=np.concatenate((np.full(len(satisfied), opts.epsilon), coupling_ub)),
+                bounds=box,
                 method="highs",
                 options={"primal_feasibility_tolerance": 1e-9},
             )
@@ -278,11 +289,11 @@ def box_coefficients(rng):
 class TestBuildMilp:
     def test_row_and_variable_counts(self):
         # 8 linearized coefficients, 12 binaries and the margin; 12
-        # condition rows and 8 factor-coupling rows.
+        # condition rows and one coupling row per factor, 4.
         data = [equilibrium_point(CAL_VAL, q) for q in (0.4, 0.5, 0.6)]
         c, integrality, bounds, constraints = build_milp(data, CalibrationOptions())
         assert c.shape == integrality.shape == bounds.lb.shape == bounds.ub.shape == (21,)
-        assert constraints.A.shape == (20, 21)
+        assert constraints.A.shape == (16, 21)
         assert integrality.tolist() == [0] * 8 + [1] * 12 + [0]
         assert c.tolist() == [0] * 8 + [1] * 12 + [-0.5]
         assert bounds.lb[8:].tolist() == [0] * 13
@@ -293,7 +304,36 @@ class TestBuildMilp:
         c, integrality, _, constraints = build_milp(data, CalibrationOptions(symmetry=True))
         assert c.shape == (4 + 4 + 1,)
         assert int(integrality.sum()) == 4
-        assert constraints.A.shape == (4 + 4, 9)
+        assert constraints.A.shape == (4 + 2, 9)
+
+    @pytest.mark.parametrize("points", [5, 57])
+    @pytest.mark.parametrize("symmetry", [False, True])
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-3])
+    def test_no_entry_highs_ignores(self, points, symmetry, epsilon):
+        # HiGHS drops constraint-matrix values of magnitude <= 1e-9 (its
+        # small_matrix_value), so such an entry states a row it never reads.
+        if points == 5:
+            data = NOISY_FIVE
+        else:
+            data = noisy_protocol_grid(sweep_vph=tuple(1150.0 + 12.5 * i for i in range(57)))
+        _, _, _, constraints = build_milp(data, CalibrationOptions(epsilon, symmetry=symmetry))
+        matrix = np.asarray(constraints.A)
+        assert np.abs(matrix[matrix != 0]).min() > 1e-9
+
+    @settings(max_examples=300)
+    @given(symmetry=st.booleans(), u=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+    def test_every_search_point_is_a_milp_point(self, symmetry, u):
+        # Any parameter vector in the search box, linearized, lies in the
+        # MILP's column bounds and coupling rows, and recovers to rounding.
+        opts = CalibrationOptions(symmetry=symmetry)
+        space = _variable_space(opts)
+        theta = space.lo + np.array(u[: len(space.names)]) * (space.hi - space.lo)
+        theta = np.minimum(theta, space.hi)
+        z = space.linearize(theta)
+        box, coupling, coupling_ub = milp_box(NOISY_FIVE, opts)
+        assert all(lower <= value <= upper for value, (lower, upper) in zip(z, box))
+        assert np.all(coupling @ z <= coupling_ub)
+        np.testing.assert_allclose(_recover_parameters(z, space), theta, rtol=1e-15, atol=0)
 
     def test_rows_reproduce_products(self):
         # The coefficient part of each condition row, evaluated at fixed
@@ -387,10 +427,10 @@ class TestPinnedMilp:
     @pytest.mark.parametrize(
         "stride, symmetry, expected",
         [
-            (1, True, "dedddb5b408c2430f2edb6c5b648499c5e514d567223479ef36c5bc57000e3a2"),
-            (1, False, "5a8670a104869f11078b9a5a9c1f9fee545fd62620212988bde9cc57ce463c5c"),
-            (3, True, "3677ba09e871f03a6e60c550f13a1da84af2ed91901183d8b729eb05d76fa53e"),
-            (3, False, "9fa6bc15b850269cc34ea0bcb7d552e4275a8b0358b06880bd1cc2c80293036e"),
+            (1, True, "659452225292c19b42a6770f234e64e93a0605e3b23c763ace9804f21b5c480c"),
+            (1, False, "7894641f80803fdac58dda788afa087600242b1fa00e400c402cc39f22c8fb45"),
+            (3, True, "6e6fde4d64059b73924edc43b9eb2102dc0959ab63d722561bc01b2d49423397"),
+            (3, False, "a4b7f2aeefcb1f60666e5f33c2cea062e1d915ab3ec85dfa42c4a1d2c10fe34e"),
         ],
     )
     def test_bytes(self, grid, stride, symmetry, expected):
@@ -450,15 +490,19 @@ class TestSymmetryTie:
         assert np.array_equal(
             _condition_matrix(arrays, sym), sum_tied_columns(_condition_matrix(arrays, asym))
         )
-        # Box and coupling rows are those of each group's first coefficient.
+        # The MILP's box and coupling rows are those of each group's first
+        # coefficient.
         first = [COEFFICIENT_NAMES.index(g[0]) for g in TIED_GROUPS]
-        assert sym.box == tuple(asym.box[k] for k in first)
+        sym_box, sym_coupling, sym_ub = milp_box(points, CalibrationOptions(symmetry=True))
+        asym_box, asym_coupling, asym_ub = milp_box(points, CalibrationOptions())
+        assert sym_box == [asym_box[k] for k in first]
         assert np.array_equal(sym.lo, asym.lo[first])
         assert np.array_equal(sym.hi, asym.hi[first])
-        coupling = sum_tied_columns(asym.coupling_matrix)
+        coupling = sum_tied_columns(asym_coupling)
         # Rows of lambda1, mu1 and of lambda2, mu2.
-        assert np.array_equal(sym.coupling_matrix, coupling[[0, 1, 4, 5]])
-        assert np.array_equal(sym.coupling_matrix, coupling[[2, 3, 6, 7]])
+        assert np.array_equal(sym_coupling, coupling[[0, 2]])
+        assert np.array_equal(sym_coupling, coupling[[1, 3]])
+        assert np.array_equal(sym_ub, asym_ub[[0, 2]])
         # Parameters map to mirrored coefficients.
         theta = np.minimum(sym.lo + np.array(u) * (sym.hi - sym.lo), sym.hi)
         c = sym.coefficients(theta)
