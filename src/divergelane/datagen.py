@@ -24,11 +24,13 @@ the other lane's cost minus its own is below its own lane's noise minus the
 other's, the perceived-cost comparison rearranged.  The four cost
 differences come from the model's :func:`~divergelane.model.cost_gaps` at
 the shares of the two integer bifurcating counts and are memoized per
-visited count pair, so the remaining scalar scan does one lookup and one
-comparison per driver and one memo lookup per switch.  The two tests can
-decide differently only where the perceived costs agree to rounding, as at
-an exact cost tie under noise below the costs' rounding: there the
-rearranged test follows the noise, as exact arithmetic does.
+visited count pair.  The remaining scalar scan reads the drivers' kinds as
+bytes and does one lookup and one comparison per driver; a switch marks
+the driver's position in the round and costs one memo lookup.  The marked
+drivers' lanes are flipped together once the round is scanned.  The two
+tests can decide differently only where the perceived costs agree to
+rounding, as at an exact cost tie under noise below the costs' rounding:
+there the rearranged test follows the noise, as exact arithmetic does.
 
 :func:`generate_dataset` splits the sweep into ``min(points, usable CPUs)``
 strided shares: the calling process simulates the first, and one worker
@@ -44,6 +46,7 @@ imports.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -141,10 +144,9 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
         return advantage
 
     # Per driver: the kind of its feed-through lane and its noise amplitude.
-    feed_kind = np.repeat(np.array([0, 2], dtype=np.intp), (n1, n2))
+    feed_kind = np.repeat(np.array([0, 2], dtype=np.uint8), (n1, n2))
     amplitude = cfg.sigma * NOISE_COST_FRACTION * np.repeat([c.cf1 + c.cb, c.cf2 + c.cb], (n1, n2))
-    lanes = bytearray(n)
-    lanes_view = np.frombuffer(lanes, dtype=np.uint8)
+    lanes = np.zeros(n, dtype=np.uint8)
     noisy = cfg.sigma > 0.0
     no_noise = [0.0] * n
 
@@ -154,8 +156,9 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
         order = rng.permutation(n)
         # Each driver moves at most once per round, so its lane at its turn
         # is its round-start lane.
-        lane_seq = lanes_view[order]
-        kind_seq = feed_kind[order] + lane_seq
+        lane_seq = lanes[order]
+        # Iterating bytes yields cached small ints.
+        kinds = (feed_kind[order] + lane_seq).tobytes()
         if noisy:
             draws = rng.uniform(-1.0, 1.0, size=2 * n)
             amp = amplitude[order]
@@ -164,16 +167,18 @@ def simulate_steady_state(g_true: DivergeInstance, cfg: SimulationConfig) -> Dat
             spreads = np.where(lane_seq, -feed_minus_bif, feed_minus_bif).tolist()
         else:
             spreads = no_noise
-        switched = 0
-        for driver, kind, spread in zip(order.tolist(), kind_seq.tolist(), spreads):
+        # flips[i] = 1 marks a switch by the i-th driver of the round.
+        flips = bytearray(n)
+        for i, kind, spread in zip(itertools.count(), kinds, spreads):
             # Switch only if the other lane looks strictly cheaper; ties stay.
             if advantage[kind] < spread:
-                lanes[driver] ^= 1
+                flips[i] = 1
                 key += key_step[kind]
                 advantage = memo.get(key) or advantage_at(key)
-                switched += 1
-        if switched == 0:
+        if 1 not in flips:
             break
+        # ``order`` is a permutation, so each driver is flipped at most once.
+        lanes[order] ^= np.frombuffer(flips, dtype=np.uint8)
 
     b1, b2 = divmod(key, stride)
     demand = DemandConfig(n1 * inv_n, n2 * inv_n)

@@ -27,6 +27,7 @@ from divergelane import (
     solve_fixed_point,
     write_coefficients,
 )
+from divergelane import datagen
 from divergelane.cli import main
 from divergelane.datagen import NOISE_COST_FRACTION
 
@@ -87,6 +88,35 @@ class TestSimulateSteadyState:
         b = simulate_steady_state(instance(0.5), SimulationConfig(seed=12, **base))
         assert abs(a.flow.xb1 - b.flow.xb1) <= 1e-3
         assert abs(a.flow.xb2 - b.flow.xb2) <= 1e-3
+
+    def test_run_stops_after_a_round_without_switches(self, monkeypatch):
+        # Output equality cannot see a missing early exit, only its cost: a
+        # run that ignored it would go on for all 500 rounds.  A rest state
+        # needs exact cost ties: with one populated link and these dyadic
+        # costs both lanes cost exactly 0.5 once half the drivers bifurcate.
+        # (Noiseless CAL_VAL runs never rest: one driver short of balance
+        # one lane is strictly cheaper, one past it the other, so some
+        # driver switches in every round.)
+        permutations = []
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def permutation(self, n):
+                permutations.append(n)
+                return self._rng.permutation(n)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(datagen.np.random, "default_rng", CountingGenerator)
+        costs = CostCoefficients(1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 1.0)
+        g = DivergeInstance(DemandConfig(1.0, 0.0), costs)
+        cfg = SimulationConfig(n_vehicles=1000, sigma=0.0, rounds=500, seed=1)
+        assert simulate_steady_state(g, cfg).flow.xb1 == 0.5
+        assert 2 <= len(permutations) <= 10
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n_vehicles"):
@@ -445,19 +475,25 @@ class TestMatchesReference:
         assert simulate_steady_state(g, cfg) == reference_simulate(g, cfg)
 
     @pytest.mark.parametrize(
-        "sigma, digest",
+        "sigma, digest, n, sweep",
         [
-            ("0.5", "1c578091d8cffcf541e36430a67b9a143ae129a42f0aa89bbd1f403f1ecd6d05"),
-            ("0", "017b7a885ebefd42a15f2c89d83093525e2761733f9fab170fb1037834eb14e4"),
+            ("0.5", "1c578091d8cffcf541e36430a67b9a143ae129a42f0aa89bbd1f403f1ecd6d05",
+             "200", "1150:1850:350"),
+            ("0", "017b7a885ebefd42a15f2c89d83093525e2761733f9fab170fb1037834eb14e4",
+             "200", "1150:1850:350"),
+            # The command the benchmark's ``protocol`` workload runs.
+            ("0.5", "aa48c41010b9490f12d7918db8dbbe72fd4b9c3e98451951c3c7284490a64e28",
+             "1000", "1150:1850:50"),
         ],
     )
-    def test_generate_bytes_are_pinned(self, tmp_path, sigma, digest):
-        # Digests of ``generate`` output captured from the reference loop.
+    def test_generate_bytes_are_pinned(self, tmp_path, sigma, digest, n, sweep):
+        # Digests of ``generate`` output; the n = 200 ones were captured from
+        # the reference loop.
         coeffs = tmp_path / "diverge.coeffs"
         write_coefficients(coeffs, CAL_VAL, symmetry=True)
         out = tmp_path / "data.csv"
         code = main(
-            ["generate", "--coeffs", str(coeffs), "--n", "200", "--sweep", "1150:1850:350",
+            ["generate", "--coeffs", str(coeffs), "--n", n, "--sweep", sweep,
              "--seed", "1", "--sigma", sigma, "--out", str(out)]
         )
         assert code == 0
