@@ -426,9 +426,9 @@ def _objectives(theta: np.ndarray, conditions: np.ndarray, space: _VariableSpace
 
 def _least_squares_start(a: np.ndarray, space: _VariableSpace) -> np.ndarray | None:
     """Deterministic start: fit the interior cost-equality rows in the
-    linearized space and rescale onto the admissible box (the equilibrium
-    conditions are scale-invariant, so only the ray direction matters); the
-    parameters are recovered inside the box."""
+    linearized space and scale the ray onto the rate floor (the conditions are
+    scale-invariant, so only its direction matters), then recover the parameters
+    inside the box.  None with no interior link or a non-positive fitted rate."""
     tiny = 1e-9
     # Point-major rows (link 1, then link 2) of the links whose two classes
     # are both populated.
@@ -456,11 +456,9 @@ def _least_squares_start(a: np.ndarray, space: _VariableSpace) -> np.ndarray | N
     f1, f2 = space.tie[:2]  # the feed rates' parameters
     theta[space.rate] = 0.5 * (theta[f1] + theta[f2])
     rates = ~space.factor
-    if np.any(theta[rates] <= tiny):
+    if np.any(theta[rates] <= 0.0):
         return None
     theta *= np.max(space.lo[rates] / theta[rates])
-    if np.any(theta[rates] > space.hi[rates]):
-        return None
     return _recover_parameters(theta, space)
 
 

@@ -427,7 +427,7 @@ class TestPinnedMilp:
     @pytest.mark.parametrize(
         "stride, symmetry, expected",
         [
-            (1, True, "659452225292c19b42a6770f234e64e93a0605e3b23c763ace9804f21b5c480c"),
+            (1, True, "fed2333a6b93c51531d51c6a21439bfaaeb5a714836e0a8f55f0c9393325fcd7"),
             (1, False, "7894641f80803fdac58dda788afa087600242b1fa00e400c402cc39f22c8fb45"),
             (3, True, "6e6fde4d64059b73924edc43b9eb2102dc0959ab63d722561bc01b2d49423397"),
             (3, False, "a4b7f2aeefcb1f60666e5f33c2cea062e1d915ab3ec85dfa42c4a1d2c10fe34e"),
@@ -909,6 +909,23 @@ class TestCalibrateSearch:
         opts = CalibrationOptions(symmetry=symmetry, restarts=3, seed=4)
         assert _least_squares_start(share_matrix(data), _variable_space(opts)) is None
         assert calibrate_search(data, opts) == reference_search(data, opts)
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    @pytest.mark.parametrize("step_vph", [50.0, 25.0])
+    def test_positive_ray_starts_inside_the_box(self, symmetry, step_vph):
+        # Only the fitted ray's direction matters.  The benchmark's symmetric
+        # set (noise seed 2019, 50 vph) fits every rate positive but below
+        # 1e-9, and some seeds fit a ray that leaves the box once scaled onto
+        # the rate floor.
+        space = _variable_space(CalibrationOptions(symmetry=symmetry))
+        sweep = tuple(np.arange(1150.0, 1850.0 + step_vph / 2, step_vph).tolist())
+        assert len(sweep) == (15 if step_vph == 50.0 else 29)
+        for seed in (2019, 1, 2, 3, 4, 5, 6):
+            data = noisy_protocol_grid(seed=seed, sweep_vph=sweep)
+            start = _least_squares_start(share_matrix(data), space)
+            assert start is not None, seed
+            assert np.all(space.lo <= start) and np.all(start <= space.hi), seed
+            space.coefficients(start)
 
     def test_deterministic_given_seed(self):
         data = noiseless_protocol_dataset()

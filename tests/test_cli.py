@@ -24,6 +24,7 @@ from divergelane import (
     FlowDistribution,
     count_violations,
     format_dataset,
+    load_coefficients,
     load_dataset,
     solve_equilibria,
     wardrop_residuals,
@@ -484,6 +485,27 @@ class TestCalibrate:
         assert code == 0
         assert "violations = 0" in out
         assert "certificate = exact" in out
+
+    def test_exact_at_the_margin_floor(self, capsys, tmp_path, coeffs_file):
+        # HiGHS ignores matrix entries of magnitude 1e-9 and below, the
+        # margin column's among them, so exact calibration needs a margin
+        # above 1e-9.  At 1e-9 the command still exits 0 and prints its fit's
+        # recount; which certificate it gets depends on the HiGHS release.
+        data = tmp_path / "three.csv"
+        code, _, _ = run(
+            capsys, ["sweep", "--coeffs", coeffs_file, "--range", "0:1", "--step", "0.5",
+                     "--out", data],
+        )
+        assert code == 0
+        fit = tmp_path / "fit.coeffs"
+        argv = ["calibrate", "--data", data, "--solver", "exact", "--out", fit, "--tol"]
+        code, out, _ = run(capsys, [*argv, "1e-8"])
+        assert code == 0
+        assert "certificate = exact\nviolations = 0\n" in out
+        code, out, _ = run(capsys, [*argv, "1e-9"])
+        assert code == 0
+        recount = count_violations(load_coefficients(fit), load_dataset(data), 1e-9).count
+        assert f"\nviolations = {recount}\n" in out
 
     def test_milp_without_a_solution_exits_1(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(
