@@ -5,14 +5,16 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 from divergelane import (
     CalibrationOptions,
@@ -447,6 +449,37 @@ class TestPinnedMilp:
         assert digest.hexdigest() == expected
 
 
+class TestPinnedExactFit:
+    """:func:`calibrate_exact`'s fits on the benchmark's every-third subset
+    at a margin of 1e-3, to the last bit.  A HiGHS option or an encoding
+    change that leads the solver to another fit of the same count shows here
+    even where the count and the certificate do not move."""
+
+    @pytest.mark.parametrize(
+        "symmetry, coefficients, violations",
+        [
+            (
+                True,
+                (1.0, 1.0, 1.0, 0.7452486168308143, 0.7452486168308143,
+                 0.6684967900468748, 0.6684967900468748, 1.223087819837042),
+                5,
+            ),
+            (
+                False,
+                (1.7709224542829438, 1.0, 10.0, 0.11827729234587767, 0.06129652996518574,
+                 0.10912446709913963, 0.04764080282400127, 3.4017045705613795),
+                4,
+            ),
+        ],
+        ids=["symmetric", "asymmetric"],
+    )
+    def test_fit(self, symmetry, coefficients, violations):
+        opts = CalibrationOptions(epsilon=1e-3, symmetry=symmetry)
+        result = calibrate_exact(noisy_protocol_grid()[::3], opts)
+        assert result.coefficients == CostCoefficients(*coefficients)
+        assert (result.violations, result.certificate) == (violations, "exact")
+
+
 #: Coefficients a symmetric diverge ties to one free parameter.
 TIED_GROUPS = (("cf1", "cf2", "cb"), ("lambda1", "lambda2"), ("mu1", "mu2"), ("nu",))
 
@@ -471,6 +504,30 @@ def feasible_points(draw):
             DataPoint(demand, FlowDistribution.from_bifurcating_shares(demand, xb1, xb2))
         )
     return points
+
+
+class TestMilpFeasibleByConstruction:
+    """:func:`build_milp` has a feasible point for any data: every box point
+    with all its conditions released."""
+
+    @settings(max_examples=200)
+    @given(
+        points=feasible_points(),
+        symmetry=st.booleans(),
+        epsilon=st.sampled_from((1e-6, 1e-3)),
+        u=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_every_condition_released_is_feasible(self, points, symmetry, epsilon, u):
+        # Every indicator at 1 and the margin at 0: the claim that lets
+        # calibrate_exact switch off HiGHS's first-feasible-point heuristic.
+        opts = CalibrationOptions(epsilon, symmetry=symmetry)
+        space = _variable_space(opts)
+        theta = space.lo + np.array(u[: len(space.names)]) * (space.hi - space.lo)
+        theta = np.minimum(theta, space.hi)
+        _, _, bounds, constraints = build_milp(points, opts)
+        x = np.concatenate((space.linearize(theta), np.ones(4 * len(points)), [0.0]))
+        assert np.all(bounds.lb <= x) and np.all(x <= bounds.ub)
+        assert np.all(constraints.A @ x <= constraints.ub)
 
 
 class TestSymmetryTie:
@@ -717,6 +774,56 @@ class TestCalibrateExact:
         with pytest.raises(
             ConfigurationError, match="^the calibration MILP has no solution: no point found$"
         ):
+            calibrate_exact(NOISY_FIVE, CalibrationOptions(epsilon=1e-3))
+
+    @staticmethod
+    def recording_milp(monkeypatch, *emitted):
+        """Replace :func:`scipy.optimize.milp` by a fake that records its
+        options, emits each ``(message, category)`` warning and then solves
+        with the real one."""
+        real = scipy.optimize.milp
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(dict(kwargs["options"]))
+            for message, category in emitted:
+                warnings.warn(message, category)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("scipy.optimize.milp", fake)
+        return calls
+
+    def test_options_reach_highs(self, monkeypatch):
+        calls = self.recording_milp(monkeypatch)
+        calibrate_exact(NOISY_FIVE, CalibrationOptions(epsilon=1e-3))
+        [options] = calls
+        assert options["node_limit"] == calibration.MILP_NODE_LIMIT
+        assert options["mip_heuristic_run_feasibility_jump"] is False
+
+    def test_unrecognized_option_warnings_are_silenced(self, monkeypatch):
+        # scipy's warning for an option it passes on, and a HiGHS build's for
+        # one it does not know; pytest turns an escaped warning into an error.
+        self.recording_milp(
+            monkeypatch,
+            ("Unrecognized options detected: {'mip_heuristic_run_feasibility_jump'}. "
+             "These will be passed to HiGHS verbatim.", RuntimeWarning),
+            ("Unrecognized options detected: {'mip_heuristic_run_feasibility_jump': False}",
+             OptimizeWarning),
+        )
+        result = calibrate_exact(NOISY_FIVE, CalibrationOptions(epsilon=1e-3))
+        assert (result.certificate, result.violations) == ("exact", 4)
+
+    @pytest.mark.parametrize(
+        "message, category",
+        [
+            ("overflow encountered in multiply", RuntimeWarning),
+            ("Unrecognized options detected: {'x'}", UserWarning),
+            ("The problem may be infeasible. Unrecognized options detected", OptimizeWarning),
+        ],
+    )
+    def test_other_warnings_surface(self, monkeypatch, message, category):
+        self.recording_milp(monkeypatch, (message, category))
+        with pytest.warns(category, match=message[:20]):
             calibrate_exact(NOISY_FIVE, CalibrationOptions(epsilon=1e-3))
 
     def test_closed_stdout_is_left_alone(self):
