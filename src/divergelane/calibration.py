@@ -19,13 +19,15 @@ and reads that map.  Names, kinds and tie come from the model.
 
 Two solvers share that encoding:
 
-* :func:`calibrate_exact` — one mixed-integer program (:func:`build_milp`,
-  one indicator per condition) solved by HiGHS through
-  :func:`scipy.optimize.milp`, returning a provably minimal violation count
-  when HiGHS closes the search within ``MILP_NODE_LIMIT`` branch-and-bound
-  nodes, and its best fit so far otherwise.  HiGHS's feasibility-jump
-  heuristic is switched off: it looks for a first feasible point, and the
-  MILP has one by construction (every condition released).
+* :func:`calibrate_exact` — two stages.  A mixed-integer program
+  (:func:`build_milp`, one indicator per condition) solved by HiGHS through
+  :func:`scipy.optimize.milp` finds the count: provably minimal when HiGHS
+  closes the search within ``MILP_NODE_LIMIT`` branch-and-bound nodes, its
+  best so far otherwise.  Then one LP (:func:`scipy.optimize.linprog`)
+  places the fit: the point that pushes the conditions the MILP kept
+  furthest below the margin.  HiGHS's feasibility-jump heuristic is
+  switched off: it looks for a first feasible point, and the MILP has one
+  by construction (every condition released).
 * :func:`calibrate_search` — a seeded multi-start steepest coordinate
   (compass) search, with no pattern move: each sweep moves every restart at
   once to its best one-step neighbour, and the search ends after the first
@@ -89,14 +91,15 @@ MILP_NODE_LIMIT = 10_000
 
 #: HiGHS options :func:`calibrate_exact` passes besides its node limit.
 #: :func:`build_milp` is feasible by construction (any box point with every
-#: indicator at 1 and the margin at 0 meets every row), so feasibility jump,
-#: a heuristic that searches for a first feasible point, has nothing to find;
-#: under HiGHS 1.12 it took about 50 ms of each 0.15-s solve of 5 points.
+#: indicator at 1 meets every row), so feasibility jump, a heuristic that
+#: searches for a first feasible point, has nothing to find; under HiGHS 1.12
+#: it took about 50 ms of each 0.15-s solve of 5 points.
 _HIGHS_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
 
 
 class ConfigurationError(ValueError):
-    """HiGHS rejected the calibration MILP or returned no solution for it."""
+    """HiGHS rejected the calibration MILP, returned no solution for it, or
+    returned no optimum for the LP that places the fit."""
 
 
 @dataclass(frozen=True)
@@ -326,14 +329,13 @@ def build_milp(
     """The exact-calibration MILP as ``(c, integrality, bounds, constraints)``,
     the arguments of :func:`scipy.optimize.milp`.
 
-    Columns are the linearized coefficients ``z`` within their box, one
-    binary ``e`` per condition (row order of :func:`_condition_matrix`), and
-    a margin ``s`` in [0, 1].  Condition ``k`` gives the row
-    ``A_k.z - T_k*e_k + eps*s <= eps``, where ``T_k`` is the largest value
-    ``A_k.z`` takes on the box, so ``e_k = 1`` releases the row.  One
-    coupling row per factor, ``product - hi*cb <= 0``, follows; the factor
-    floor holds through the product's column bound and the clip in
-    :func:`_recover_parameters`.  The objective is ``sum(e) - s/2``.
+    Columns are the linearized coefficients ``z`` within their box and one
+    binary ``e`` per condition (row order of :func:`_condition_matrix`).
+    Condition ``k`` gives the row ``A_k.z - T_k*e_k <= eps``, where ``T_k``
+    is the largest value ``A_k.z`` takes on the box, so ``e_k = 1`` releases
+    the row.  One coupling row per factor, ``product - hi*cb <= 0``,
+    follows; the factor floor holds through the product's column bound and
+    the clip in :func:`_recover_parameters`.  The objective is ``sum(e)``.
     """
     # scipy loads here, not at import, so commands without a MILP skip its
     # import time and memory.
@@ -344,37 +346,60 @@ def build_milp(
     m, n = A.shape
     lo, hi = space.linearize(space.lo), space.linearize(space.hi)
     T = np.maximum(0.0, np.maximum(A * lo, A * hi).sum(axis=1))
-    eps = opts.epsilon
     coupling = np.eye(n)[space.factor]
     coupling[:, space.rate] = -space.hi[space.factor]
-    rows = np.block(
-        [
-            [A, -np.diag(T), np.full((m, 1), eps)],
-            [coupling, np.zeros((coupling.shape[0], m + 1))],
-        ]
-    )
-    c = np.concatenate((np.zeros(n), np.ones(m), [-0.5]))
-    integrality = np.concatenate((np.zeros(n), np.ones(m), [0.0]))
-    bounds = Bounds(np.concatenate((lo, np.zeros(m + 1))), np.concatenate((hi, np.ones(m + 1))))
+    rows = np.block([[A, -np.diag(T)], [coupling, np.zeros((coupling.shape[0], m))]])
+    c = np.concatenate((np.zeros(n), np.ones(m)))
+    integrality = np.concatenate((np.zeros(n), np.ones(m)))
+    bounds = Bounds(np.concatenate((lo, np.zeros(m))), np.concatenate((hi, np.ones(m))))
     constraints = LinearConstraint(
-        rows, -np.inf, np.concatenate((np.full(m, eps), np.zeros(coupling.shape[0])))
+        rows, -np.inf, np.concatenate((np.full(m, opts.epsilon), np.zeros(coupling.shape[0])))
     )
     return c, integrality, bounds, constraints
 
 
-def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> CalibrationResult:
-    """Minimize the violation count exactly by solving :func:`build_milp`.
+def _max_margin_point(
+    x: np.ndarray, n: int, bounds: Bounds, constraints: LinearConstraint, epsilon: float
+) -> np.ndarray:
+    """The linearized values (the first ``n`` columns of :func:`build_milp`)
+    that maximize a margin ``t`` in [0, epsilon] over the conditions the
+    MILP's solution ``x`` keeps: ``A_k.z + t <= epsilon`` for each ``k`` with
+    ``e_k = 0``, within the same box and coupling rows.  ``t`` has unit
+    coefficients, so epsilon is no matrix entry.  ``x``'s own ``z`` at
+    ``t = 0`` is feasible, so an LP without an optimum is a
+    :class:`ConfigurationError`."""
+    from scipy.optimize import linprog
 
-    Any coefficient vector violating ``n`` conditions at ``opts.epsilon``
-    gives a feasible point with ``sum(e) = n`` and ``s = 0``, and the margin,
-    worth at most 1/2, never pays for a binary; so the solver's proven bound
-    on ``sum(e)`` is a lower bound on the violation count.  The margin pushes
-    the satisfied products to <= 0 where it can.  The recovered
+    A = np.asarray(constraints.A)
+    condition = np.arange(len(A)) < len(x) - n
+    kept = ~condition
+    kept[condition] = x[n:] < 0.5
+    result = linprog(
+        np.append(np.zeros(n), -1.0),
+        A_ub=np.column_stack((A[kept, :n], condition[kept])),
+        b_ub=constraints.ub[kept],
+        bounds=np.column_stack((np.append(bounds.lb[:n], 0.0), np.append(bounds.ub[:n], epsilon))),
+        method="highs",
+    )
+    if result.status != 0:
+        raise ConfigurationError(f"the calibration LP has no optimum: {result.message}")
+    return result.x[:n]
+
+
+def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> CalibrationResult:
+    """Minimize the violation count exactly, in two stages.
+
+    The MILP (:func:`build_milp`) finds the count: any coefficient vector
+    violating ``n`` conditions at ``opts.epsilon`` gives a feasible point
+    with ``sum(e) = n``, so the solver's proven bound on ``sum(e)`` is a
+    lower bound on the violation count.  One LP (:func:`_max_margin_point`)
+    then places the fit: it pushes the products of the conditions the MILP
+    kept as far below epsilon as it can, at most to 0.  The recovered
     coefficients are recounted with :func:`count_violations`, and the
     certificate is ``exact`` only when the recount meets the bound.
     HiGHS stops after ``MILP_NODE_LIMIT`` nodes with its best fit so far,
-    which the same rule certifies: ``exact`` only if its recount still
-    meets the proven bound.
+    which the LP places and the same rule certifies: ``exact`` only if its
+    recount still meets the proven bound.
     """
     if len(data) == 0:
         raise ValueError("data must be non-empty")
@@ -396,10 +421,11 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
             # A new dict each call: milp pops the options it knows from it.
             options={"node_limit": MILP_NODE_LIMIT, **_HIGHS_OPTIONS},
         )
-    if result.x is None:
-        problem = "is rejected by HiGHS" if "Model error" in result.message else "has no solution"
-        raise ConfigurationError(f"the calibration MILP {problem}: {result.message}")
-    coefficients = space.coefficients(_recover_parameters(result.x[: len(space.names)], space))
+        if result.x is None:
+            problem = "is rejected by HiGHS" if "Model error" in result.message else "has no solution"
+            raise ConfigurationError(f"the calibration MILP {problem}: {result.message}")
+        z = _max_margin_point(result.x, len(space.names), bounds, constraints, opts.epsilon)
+    coefficients = space.coefficients(_recover_parameters(z, space))
     return _result(coefficients, data, opts.epsilon, math.ceil(result.mip_dual_bound - 1e-6))
 
 

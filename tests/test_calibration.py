@@ -290,23 +290,23 @@ def box_coefficients(rng):
 
 class TestBuildMilp:
     def test_row_and_variable_counts(self):
-        # 8 linearized coefficients, 12 binaries and the margin; 12
-        # condition rows and one coupling row per factor, 4.
+        # 8 linearized coefficients and 12 binaries; 12 condition rows and
+        # one coupling row per factor, 4.
         data = [equilibrium_point(CAL_VAL, q) for q in (0.4, 0.5, 0.6)]
         c, integrality, bounds, constraints = build_milp(data, CalibrationOptions())
-        assert c.shape == integrality.shape == bounds.lb.shape == bounds.ub.shape == (21,)
-        assert constraints.A.shape == (16, 21)
-        assert integrality.tolist() == [0] * 8 + [1] * 12 + [0]
-        assert c.tolist() == [0] * 8 + [1] * 12 + [-0.5]
-        assert bounds.lb[8:].tolist() == [0] * 13
-        assert bounds.ub[8:].tolist() == [1] * 13
+        assert c.shape == integrality.shape == bounds.lb.shape == bounds.ub.shape == (20,)
+        assert constraints.A.shape == (16, 20)
+        assert integrality.tolist() == [0] * 8 + [1] * 12
+        assert c.tolist() == [0] * 8 + [1] * 12
+        assert bounds.lb[8:].tolist() == [0] * 12
+        assert bounds.ub[8:].tolist() == [1] * 12
 
     def test_symmetry_reduces_continuous_variables(self):
         data = [equilibrium_point(CAL_VAL, 0.5)]
         c, integrality, _, constraints = build_milp(data, CalibrationOptions(symmetry=True))
-        assert c.shape == (4 + 4 + 1,)
+        assert c.shape == (4 + 4,)
         assert int(integrality.sum()) == 4
-        assert constraints.A.shape == (4 + 2, 9)
+        assert constraints.A.shape == (4 + 2, 8)
 
     @pytest.mark.parametrize("points", [5, 57])
     @pytest.mark.parametrize("symmetry", [False, True])
@@ -392,8 +392,8 @@ class TestBuildMilp:
             assert np.array_equal(actual, np.array(expected))
 
     def test_encoding_soundness(self):
-        # Setting the binaries to the violation flags, with the margin at 0,
-        # satisfies every row and bound for any coefficients in the box.
+        # Setting the binaries to the violation flags satisfies every row
+        # and bound for any coefficients in the box.
         rng = np.random.default_rng(61)
         for symmetry in (False, True):
             opts = CalibrationOptions(epsilon=1e-6, symmetry=symmetry)
@@ -410,7 +410,7 @@ class TestBuildMilp:
                 report = count_violations(probe, data, opts.epsilon)
                 _, _, bounds, constraints = build_milp(data, opts)
                 z = list(linearized_values(probe, symmetry).values())
-                x = np.array(z + [float(f) for f in np.ravel(report.flags)] + [0.0])
+                x = np.array(z + [float(f) for f in np.ravel(report.flags)])
                 assert np.all(bounds.lb <= x) and np.all(x <= bounds.ub)
                 assert np.all(constraints.A @ x <= constraints.ub + 1e-9)
 
@@ -429,10 +429,10 @@ class TestPinnedMilp:
     @pytest.mark.parametrize(
         "stride, symmetry, expected",
         [
-            (1, True, "fed2333a6b93c51531d51c6a21439bfaaeb5a714836e0a8f55f0c9393325fcd7"),
-            (1, False, "7894641f80803fdac58dda788afa087600242b1fa00e400c402cc39f22c8fb45"),
-            (3, True, "6e6fde4d64059b73924edc43b9eb2102dc0959ab63d722561bc01b2d49423397"),
-            (3, False, "a4b7f2aeefcb1f60666e5f33c2cea062e1d915ab3ec85dfa42c4a1d2c10fe34e"),
+            (1, True, "fc2f929cbbc834c708e88a997e16a7f9720f9a6161f1e07c125096e8c7b476d5"),
+            (1, False, "686051b93c57a012a11af5f7be83481dbf6767e12590a0e5b315ad0fae3c6789"),
+            (3, True, "1bd26b07ad11bdf736a7757bc23b10b42dd2225d552669adebf8cc5480cb9be8"),
+            (3, False, "fcf946aa2245fbeccb84b9342230493c20fc7b3f8930dc098d74698edcd65ee9"),
         ],
     )
     def test_bytes(self, grid, stride, symmetry, expected):
@@ -460,14 +460,14 @@ class TestPinnedExactFit:
         [
             (
                 True,
-                (1.0, 1.0, 1.0, 0.7452486168308143, 0.7452486168308143,
-                 0.6684967900468748, 0.6684967900468748, 1.223087819837042),
+                (1.0, 1.0, 1.0, 0.7452486168308152, 0.7452486168308152,
+                 0.6684967900468761, 0.6684967900468761, 1.2230878198370294),
                 5,
             ),
             (
                 False,
-                (1.7709224542829438, 1.0, 10.0, 0.11827729234587767, 0.06129652996518574,
-                 0.10912446709913963, 0.04764080282400127, 3.4017045705613795),
+                (1.0, 2.8192180195144627, 10.0, 0.008409995099171896, 0.17280828181155944,
+                 0.01101442931601986, 0.1343098097855591, 9.59014682239142),
                 4,
             ),
         ],
@@ -518,14 +518,14 @@ class TestMilpFeasibleByConstruction:
         u=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
     )
     def test_every_condition_released_is_feasible(self, points, symmetry, epsilon, u):
-        # Every indicator at 1 and the margin at 0: the claim that lets
-        # calibrate_exact switch off HiGHS's first-feasible-point heuristic.
+        # Every indicator at 1: the claim that lets calibrate_exact switch
+        # off HiGHS's first-feasible-point heuristic.
         opts = CalibrationOptions(epsilon, symmetry=symmetry)
         space = _variable_space(opts)
         theta = space.lo + np.array(u[: len(space.names)]) * (space.hi - space.lo)
         theta = np.minimum(theta, space.hi)
         _, _, bounds, constraints = build_milp(points, opts)
-        x = np.concatenate((space.linearize(theta), np.ones(4 * len(points)), [0.0]))
+        x = np.concatenate((space.linearize(theta), np.ones(4 * len(points))))
         assert np.all(bounds.lb <= x) and np.all(x <= bounds.ub)
         assert np.all(constraints.A @ x <= constraints.ub)
 
@@ -752,18 +752,20 @@ class TestCalibrateExact:
         result = calibrate_exact(data, CalibrationOptions(symmetry=True))
         assert result.violations == 0
 
-    @pytest.mark.parametrize("symmetry, proven", [(True, 5), (False, 4)])
+    @pytest.mark.parametrize("symmetry, proven", [(True, 5), (False, 17)])
     def test_node_limit_leaves_a_heuristic_fit(self, monkeypatch, symmetry, proven):
         # Stopped after one node, HiGHS has not proven its incumbent
         # optimal: the fit is certified heuristic, and its count is still
-        # the recount of the coefficients returned.
+        # the recount of the coefficients returned.  The asymmetric MILP of
+        # NOISY_FIVE closes at the root, so that case takes the 15 points.
+        data = NOISY_FIVE if symmetry else noisy_protocol_grid()
         opts = CalibrationOptions(epsilon=1e-3, symmetry=symmetry)
-        result = calibrate_exact(NOISY_FIVE, opts)
+        result = calibrate_exact(data, opts)
         assert (result.certificate, result.violations) == ("exact", proven)
         monkeypatch.setattr(calibration, "MILP_NODE_LIMIT", 1)
-        result = calibrate_exact(NOISY_FIVE, opts)
+        result = calibrate_exact(data, opts)
         assert result.certificate == "heuristic"
-        assert result.violations == count_violations(result.coefficients, NOISY_FIVE, 1e-3).count
+        assert result.violations == count_violations(result.coefficients, data, 1e-3).count
 
     def test_milp_without_a_solution_raises(self, monkeypatch):
         # HiGHS returns no point when it stops before finding a feasible one.
@@ -775,6 +777,51 @@ class TestCalibrateExact:
             ConfigurationError, match="^the calibration MILP has no solution: no point found$"
         ):
             calibrate_exact(NOISY_FIVE, CalibrationOptions(epsilon=1e-3))
+
+    def test_lp_without_an_optimum_raises(self, monkeypatch):
+        # The MILP's own point is feasible for the LP, so HiGHS returning no
+        # optimum there is a solver failure, reported like the MILP's.
+        monkeypatch.setattr(
+            "scipy.optimize.linprog",
+            lambda *args, **kwargs: SimpleNamespace(status=4, message="numerical difficulties"),
+        )
+        with pytest.raises(
+            ConfigurationError, match="^the calibration LP has no optimum: numerical difficulties$"
+        ):
+            calibrate_exact(NOISY_FIVE, CalibrationOptions(epsilon=1e-3))
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
+    @pytest.mark.parametrize("symmetry", [True, False])
+    @pytest.mark.parametrize("points", [5, 15])
+    def test_fit_has_the_largest_margin_of_its_kept_rows(self, points, symmetry, epsilon):
+        # The fit is the LP point that pushes the kept products furthest
+        # below epsilon: no unflagged product exceeds epsilon - t*, where t*
+        # is that LP's optimum, solved again here from build_milp's rows.
+        # An exact count releases exactly the flagged conditions, so the
+        # kept rows are the unflagged ones.  NOISY_FIVE is the 15-point
+        # set's every-third subset.
+        data = NOISY_FIVE if points == 5 else noisy_protocol_grid()
+        opts = CalibrationOptions(epsilon=epsilon, symmetry=symmetry)
+        result = calibrate_exact(data, opts)
+        assert result.certificate == "exact"
+        kept = ~np.ravel(result.indicator_assignment)
+        _, _, bounds, constraints = build_milp(data, opts)
+        n = len(_variable_space(opts).names)
+        m = kept.size
+        A = np.asarray(constraints.A)[:, :n]
+        lp = linprog(
+            np.append(np.zeros(n), -1.0),
+            A_ub=np.vstack((
+                np.column_stack((A[:m][kept], np.ones(kept.sum()))),
+                np.column_stack((A[m:], np.zeros(len(A) - m))),
+            )),
+            b_ub=np.concatenate((np.full(kept.sum(), epsilon), constraints.ub[m:])),
+            bounds=list(zip(bounds.lb[:n], bounds.ub[:n])) + [(0.0, epsilon)],
+            method="highs",
+        )
+        assert lp.status == 0
+        products = count_violations(result.coefficients, data, epsilon).products.ravel()
+        assert products[kept].max() <= epsilon + lp.fun + 1e-9
 
     @staticmethod
     def recording_milp(monkeypatch, *emitted):

@@ -487,10 +487,10 @@ class TestCalibrate:
         assert "certificate = exact" in out
 
     def test_exact_at_the_margin_floor(self, capsys, tmp_path, coeffs_file):
-        # HiGHS ignores matrix entries of magnitude 1e-9 and below, the
-        # margin column's among them, so exact calibration needs a margin
-        # above 1e-9.  At 1e-9 the command still exits 0 and prints its fit's
-        # recount; which certificate it gets depends on the HiGHS release.
+        # HiGHS ignores matrix entries of magnitude 1e-9 and below.  epsilon
+        # is no matrix entry of the MILP or of the LP that places the fit,
+        # only a row and column bound, so the noiseless 3-point sweep
+        # certifies 0 violations below that floor too.
         data = tmp_path / "three.csv"
         code, _, _ = run(
             capsys, ["sweep", "--coeffs", coeffs_file, "--range", "0:1", "--step", "0.5",
@@ -499,13 +499,12 @@ class TestCalibrate:
         assert code == 0
         fit = tmp_path / "fit.coeffs"
         argv = ["calibrate", "--data", data, "--solver", "exact", "--out", fit, "--tol"]
-        code, out, _ = run(capsys, [*argv, "1e-8"])
-        assert code == 0
-        assert "certificate = exact\nviolations = 0\n" in out
-        code, out, _ = run(capsys, [*argv, "1e-9"])
-        assert code == 0
-        recount = count_violations(load_coefficients(fit), load_dataset(data), 1e-9).count
-        assert f"\nviolations = {recount}\n" in out
+        for tol in ("1e-8", "1e-9", "1e-12"):
+            code, out, _ = run(capsys, [*argv, tol])
+            assert code == 0
+            assert "certificate = exact\nviolations = 0\n" in out, tol
+            recount = count_violations(load_coefficients(fit), load_dataset(data), float(tol))
+            assert recount.count == 0, tol
 
     def test_milp_without_a_solution_exits_1(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(
@@ -521,21 +520,36 @@ class TestCalibrate:
         assert out == ""
         assert err == "error: the calibration MILP has no solution: no point found\n"
 
-    def test_milp_rejected_by_highs_exits_1(self, capsys, tmp_path):
-        # epsilon is the margin column's matrix value, and HiGHS rejects a
-        # model holding a value of 1e15 (scipy gives that model error the
-        # status of an infeasible MILP).  The MILP has solutions: the same
-        # data certifies 0 violations at 1e14.
+    def test_milp_rejected_by_highs_exits_1(self, capsys, monkeypatch, tmp_path):
+        # scipy gives a HiGHS model error the status of an infeasible MILP,
+        # and its message names the error; the CLI reports a rejected model.
+        monkeypatch.setattr(
+            "scipy.optimize.milp",
+            lambda *args, **kwargs: SimpleNamespace(
+                x=None, message="(HiGHS Status 2: Model error)"
+            ),
+        )
+        path = tmp_path / "noisy.csv"
+        path.write_text(NOISY_FIVE_CSV)
+        code, out, err = run(
+            capsys, ["calibrate", "--data", path, "--solver", "exact", "--tol", "1e-3"]
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the calibration MILP is rejected by HiGHS: (HiGHS Status 2: Model error)\n"
+        )
+
+    def test_huge_margin_certifies_every_condition(self, capsys, tmp_path):
+        # epsilon is a row and column bound of the MILP and the LP, never a
+        # matrix entry, so HiGHS takes even 1e15 and certifies that every
+        # condition holds.
         path = tmp_path / "noisy.csv"
         path.write_text(NOISY_FIVE_CSV)
         argv = ["calibrate", "--data", path, "--solver", "exact", "--tol"]
-        code, out, _ = run(capsys, [*argv, "1e14"])
-        assert code == 0
-        assert "certificate = exact\nviolations = 0\n" in out
-        code, out, err = run(capsys, [*argv, "1e15"])
-        assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: the calibration MILP is rejected by HiGHS: ")
+        for tol in ("1e14", "1e15"):
+            code, out, _ = run(capsys, [*argv, tol])
+            assert code == 0
+            assert "certificate = exact\nviolations = 0\n" in out, tol
 
     def test_negative_seed_exits_1(self, capsys, sweep_file):
         code, _, err = run(capsys, ["calibrate", "--data", sweep_file, "--seed", "-1"])
@@ -838,7 +852,7 @@ class TestPinnedBytes:
         "solver, digest",
         [
             ("heuristic", "bc860eb312a2855dfe8ae7483ea55c8c85785f173822e0d2fca4cbbd41925cf5"),
-            ("exact", "33c75be9cc7108e6986b900c02e38fa645a150525e5fe60039651e2255c0f01c"),
+            ("exact", "46d5a61641eb375122ecf8779df8dd2b89ae9483c19509b8822ee91c48400a9e"),
         ],
     )
     def test_symmetric_calibrate_bytes(self, capsys, tmp_path, solver, digest):
@@ -856,7 +870,7 @@ class TestPinnedBytes:
         "solver, digest",
         [
             ("heuristic", "d9fdf9bcea4f0b3c5f766efbc27618664a88e665c20620f8825222d28962ee2e"),
-            ("exact", "df4565027dadd42b4ff26dad3df0f2c91fe63c82bd7026b70978c9584ee9cf63"),
+            ("exact", "29854500fd611e76aa4ed339b75239614291c402ea2af877253c104a3fbe1cbb"),
         ],
     )
     def test_asymmetric_calibrate_bytes(self, capsys, tmp_path, solver, digest):
