@@ -19,15 +19,13 @@ and reads that map.  Names, kinds and tie come from the model.
 
 Two solvers share that encoding:
 
-* :func:`calibrate_exact` — two stages.  A mixed-integer program
+* :func:`calibrate_exact` — two stages that read one set of rows: the
+  condition matrix, the coupling rows and the box.  A mixed-integer program
   (:func:`build_milp`, one indicator per condition) solved by HiGHS through
   :func:`scipy.optimize.milp` finds the count: provably minimal when HiGHS
   closes the search within ``MILP_NODE_LIMIT`` branch-and-bound nodes, its
-  best so far otherwise.  Then one LP (:func:`scipy.optimize.linprog`)
-  places the fit: the point that pushes the conditions the MILP kept
-  furthest below the margin.  HiGHS's feasibility-jump heuristic is
-  switched off: it looks for a first feasible point, and the MILP has one
-  by construction (every condition released).
+  best so far otherwise.  Then one LP (:func:`scipy.optimize.linprog`) places
+  the fit furthest below the margin on the condition rows the MILP kept.
 * :func:`calibrate_search` — a seeded multi-start steepest coordinate
   (compass) search, with no pattern move: each sweep moves every restart at
   once to its best one-step neighbour, and the search ends after the first
@@ -92,8 +90,9 @@ MILP_NODE_LIMIT = 10_000
 #: HiGHS options :func:`calibrate_exact` passes besides its node limit.
 #: :func:`build_milp` is feasible by construction (any box point with every
 #: indicator at 1 meets every row), so feasibility jump, a heuristic that
-#: searches for a first feasible point, has nothing to find; under HiGHS 1.12
-#: it took about 50 ms of each 0.15-s solve of 5 points.
+#: searches for a first feasible point, has nothing to find.  Under HiGHS 1.12
+#: 5-point solves at 1e-3 took 0.060–0.075 s with it and 0.034–0.045 s without
+#: (CPU, one thread, median of 5).
 _HIGHS_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
 
 
@@ -280,7 +279,7 @@ def _result(
 
 
 # ---------------------------------------------------------------------------
-# Exact solver: one mixed-integer program, solved by HiGHS
+# Exact solver: a mixed-integer program finds the count, one LP places the fit
 
 
 def _flush_c_stdio() -> None:
@@ -323,6 +322,37 @@ def _c_stdout_silenced() -> Iterator[None]:
         os.close(saved)
 
 
+#: What both exact stages read, built once per calibration: the variable
+#: space, the condition matrix, one coupling row per factor (``product -
+#: hi*cb <= 0``) and the box ``[lo, hi]`` of the linearized values ``z``.  The
+#: factor floor holds through ``lo`` and the clip in :func:`_recover_parameters`.
+_ExactProblem = namedtuple("_ExactProblem", "space conditions coupling lo hi")
+
+
+def _exact_problem(data: Sequence[DataPoint], opts: CalibrationOptions) -> _ExactProblem:
+    space = _variable_space(opts)
+    coupling = np.eye(len(space.names))[space.factor]
+    coupling[:, space.rate] = -space.hi[space.factor]
+    lo, hi = space.linearize(space.lo), space.linearize(space.hi)
+    return _ExactProblem(space, _condition_matrix(share_matrix(data), space), coupling, lo, hi)
+
+
+def _milp_arrays(problem: _ExactProblem, epsilon: float):
+    # scipy loads here, not at import, so commands without a MILP skip its
+    # import time and memory.
+    from scipy.optimize import Bounds, LinearConstraint
+
+    _, A, coupling, lo, hi = problem
+    m, n = A.shape
+    T = np.maximum(0.0, np.maximum(A * lo, A * hi).sum(axis=1))
+    rows = np.block([[A, -np.diag(T)], [coupling, np.zeros((len(coupling), m))]])
+    c = np.concatenate((np.zeros(n), np.ones(m)))
+    integrality = np.concatenate((np.zeros(n), np.ones(m)))
+    bounds = Bounds(np.concatenate((lo, np.zeros(m))), np.concatenate((hi, np.ones(m))))
+    ub = np.concatenate((np.full(m, epsilon), np.zeros(len(coupling))))
+    return c, integrality, bounds, LinearConstraint(rows, -np.inf, ub)
+
+
 def build_milp(
     data: Sequence[DataPoint], opts: CalibrationOptions
 ) -> tuple[np.ndarray, np.ndarray, Bounds, LinearConstraint]:
@@ -333,100 +363,70 @@ def build_milp(
     binary ``e`` per condition (row order of :func:`_condition_matrix`).
     Condition ``k`` gives the row ``A_k.z - T_k*e_k <= eps``, where ``T_k``
     is the largest value ``A_k.z`` takes on the box, so ``e_k = 1`` releases
-    the row.  One coupling row per factor, ``product - hi*cb <= 0``,
-    follows; the factor floor holds through the product's column bound and
-    the clip in :func:`_recover_parameters`.  The objective is ``sum(e)``.
+    the row.  The factor-coupling rows follow.  The objective is ``sum(e)``.
     """
-    # scipy loads here, not at import, so commands without a MILP skip its
-    # import time and memory.
-    from scipy.optimize import Bounds, LinearConstraint
-
-    space = _variable_space(opts)
-    A = _condition_matrix(share_matrix(data), space)
-    m, n = A.shape
-    lo, hi = space.linearize(space.lo), space.linearize(space.hi)
-    T = np.maximum(0.0, np.maximum(A * lo, A * hi).sum(axis=1))
-    coupling = np.eye(n)[space.factor]
-    coupling[:, space.rate] = -space.hi[space.factor]
-    rows = np.block([[A, -np.diag(T)], [coupling, np.zeros((coupling.shape[0], m))]])
-    c = np.concatenate((np.zeros(n), np.ones(m)))
-    integrality = np.concatenate((np.zeros(n), np.ones(m)))
-    bounds = Bounds(np.concatenate((lo, np.zeros(m))), np.concatenate((hi, np.ones(m))))
-    constraints = LinearConstraint(
-        rows, -np.inf, np.concatenate((np.full(m, opts.epsilon), np.zeros(coupling.shape[0])))
-    )
-    return c, integrality, bounds, constraints
+    return _milp_arrays(_exact_problem(data, opts), opts.epsilon)
 
 
-def _max_margin_point(
-    x: np.ndarray, n: int, bounds: Bounds, constraints: LinearConstraint, epsilon: float
-) -> np.ndarray:
-    """The linearized values (the first ``n`` columns of :func:`build_milp`)
-    that maximize a margin ``t`` in [0, epsilon] over the conditions the
-    MILP's solution ``x`` keeps: ``A_k.z + t <= epsilon`` for each ``k`` with
-    ``e_k = 0``, within the same box and coupling rows.  ``t`` has unit
-    coefficients, so epsilon is no matrix entry.  ``x``'s own ``z`` at
-    ``t = 0`` is feasible, so an LP without an optimum is a
-    :class:`ConfigurationError`."""
-    from scipy.optimize import linprog
-
-    A = np.asarray(constraints.A)
-    condition = np.arange(len(A)) < len(x) - n
-    kept = ~condition
-    kept[condition] = x[n:] < 0.5
-    result = linprog(
-        np.append(np.zeros(n), -1.0),
-        A_ub=np.column_stack((A[kept, :n], condition[kept])),
-        b_ub=constraints.ub[kept],
-        bounds=np.column_stack((np.append(bounds.lb[:n], 0.0), np.append(bounds.ub[:n], epsilon))),
-        method="highs",
-    )
-    if result.status != 0:
-        raise ConfigurationError(f"the calibration LP has no optimum: {result.message}")
-    return result.x[:n]
-
-
-def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> CalibrationResult:
-    """Minimize the violation count exactly, in two stages.
-
-    The MILP (:func:`build_milp`) finds the count: any coefficient vector
-    violating ``n`` conditions at ``opts.epsilon`` gives a feasible point
-    with ``sum(e) = n``, so the solver's proven bound on ``sum(e)`` is a
-    lower bound on the violation count.  One LP (:func:`_max_margin_point`)
-    then places the fit: it pushes the products of the conditions the MILP
-    kept as far below epsilon as it can, at most to 0.  The recovered
-    coefficients are recounted with :func:`count_violations`, and the
-    certificate is ``exact`` only when the recount meets the bound.
-    HiGHS stops after ``MILP_NODE_LIMIT`` nodes with its best fit so far,
-    which the LP places and the same rule certifies: ``exact`` only if its
-    recount still meets the proven bound.
-    """
-    if len(data) == 0:
-        raise ValueError("data must be non-empty")
+def _fewest_violations(problem: _ExactProblem, epsilon: float) -> tuple[np.ndarray, int]:
+    """Stage 1, the MILP: the mask of the condition rows it keeps, and its count bound."""
     from scipy.optimize import OptimizeWarning, milp
 
-    space = _variable_space(opts)
-    c, integrality, bounds, constraints = build_milp(data, opts)
-    with warnings.catch_warnings(), _c_stdout_silenced():
+    c, integrality, bounds, constraints = _milp_arrays(problem, epsilon)
+    with warnings.catch_warnings():
         # scipy passes an option it does not document on to HiGHS with a
         # RuntimeWarning, and a HiGHS that does not know one ignores it with
         # an OptimizeWarning; both messages start with these words.
         for category in (RuntimeWarning, OptimizeWarning):
             warnings.filterwarnings("ignore", "Unrecognized options detected", category)
         result = milp(
-            c,
-            integrality=integrality,
-            bounds=bounds,
-            constraints=constraints,
+            c, integrality=integrality, bounds=bounds, constraints=constraints,
             # A new dict each call: milp pops the options it knows from it.
             options={"node_limit": MILP_NODE_LIMIT, **_HIGHS_OPTIONS},
         )
-        if result.x is None:
-            problem = "is rejected by HiGHS" if "Model error" in result.message else "has no solution"
-            raise ConfigurationError(f"the calibration MILP {problem}: {result.message}")
-        z = _max_margin_point(result.x, len(space.names), bounds, constraints, opts.epsilon)
-    coefficients = space.coefficients(_recover_parameters(z, space))
-    return _result(coefficients, data, opts.epsilon, math.ceil(result.mip_dual_bound - 1e-6))
+    if result.x is None:
+        what = "is rejected by HiGHS" if "Model error" in result.message else "has no solution"
+        raise ConfigurationError(f"the calibration MILP {what}: {result.message}")
+    return result.x[len(problem.lo):] < 0.5, math.ceil(result.mip_dual_bound - 1e-6)
+
+
+def _max_margin_point(problem: _ExactProblem, epsilon: float) -> np.ndarray:
+    """Stage 2, the LP: the ``z`` maximizing a margin ``t`` in [0, epsilon] over
+    ``problem``'s condition rows, ``A_k.z + t <= epsilon`` (so epsilon is no matrix
+    entry), in its box and coupling rows.  The MILP's ``z`` at ``t = 0`` meets the
+    rows stage 1 kept, so an LP without an optimum is a :class:`ConfigurationError`."""
+    from scipy.optimize import linprog
+
+    _, A, coupling, lo, hi = problem
+    result = linprog(
+        np.append(np.zeros(len(lo)), -1.0),
+        A_ub=np.block([[A, np.ones((len(A), 1))], [coupling, np.zeros((len(coupling), 1))]]),
+        b_ub=np.concatenate((np.full(len(A), epsilon), np.zeros(len(coupling)))),
+        bounds=np.column_stack((np.append(lo, 0.0), np.append(hi, epsilon))),
+        method="highs",
+    )
+    if result.status != 0:
+        raise ConfigurationError(f"the calibration LP has no optimum: {result.message}")
+    return result.x[:-1]
+
+
+def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> CalibrationResult:
+    """Minimize the violation count exactly, in two stages.
+
+    Any fit violating ``n`` conditions gives a MILP point with ``sum(e) = n``,
+    so HiGHS's proven bound on ``sum(e)`` bounds the count below, also when it
+    stops at ``MILP_NODE_LIMIT`` nodes with its best fit so far.  The LP places
+    the fit on the rows the MILP kept; its recount (:func:`count_violations`)
+    is certified ``exact`` only if it meets the bound.
+    """
+    if len(data) == 0:
+        raise ValueError("data must be non-empty")
+    problem = _exact_problem(data, opts)
+    with _c_stdout_silenced():
+        kept, bound = _fewest_violations(problem, opts.epsilon)
+        z = _max_margin_point(problem._replace(conditions=problem.conditions[kept]), opts.epsilon)
+    coefficients = problem.space.coefficients(_recover_parameters(z, problem.space))
+    return _result(coefficients, data, opts.epsilon, bound)
 
 
 # ---------------------------------------------------------------------------

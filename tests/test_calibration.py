@@ -44,6 +44,7 @@ from divergelane.calibration import (
     RATE_BOUNDS,
     CalibrationResult,
     _condition_matrix,
+    _exact_problem,
     _least_squares_start,
     _linear_rows,
     _objectives,
@@ -73,13 +74,10 @@ def equilibrium_point(c, q1, total_vph=3000.0):
 
 
 def milp_box(data, opts):
-    """:func:`build_milp`'s region for the linearized variables: their
-    column bounds as (lower, upper) pairs, and the factor-coupling rows
-    (``rows . z <= ub``) that follow the condition rows."""
-    _, _, bounds, constraints = build_milp(data, opts)
-    n = len(_variable_space(opts).names)
-    rows = np.asarray(constraints.A)[4 * len(data):, :n]
-    return list(zip(bounds.lb[:n], bounds.ub[:n])), rows, constraints.ub[4 * len(data):]
+    """The exact stages' region for the linearized variables: their box as
+    (lower, upper) pairs, and the factor-coupling rows (``rows . z <= ub``)."""
+    problem = _exact_problem(data, opts)
+    return list(zip(problem.lo, problem.hi)), problem.coupling, np.zeros(len(problem.coupling))
 
 
 def enumerate_min_violations(data, opts):
@@ -88,7 +86,7 @@ def enumerate_min_violations(data, opts):
     hold at the counting margin (product <= epsilon) somewhere in the
     MILP's box."""
     space = _variable_space(opts)
-    matrix = _condition_matrix(share_matrix(data), space)
+    matrix = _exact_problem(data, opts).conditions
     box, coupling, coupling_ub = milp_box(data, opts)
     n = matrix.shape[0]
     for count in range(n + 1):
@@ -434,6 +432,7 @@ class TestPinnedMilp:
             (3, True, "1bd26b07ad11bdf736a7757bc23b10b42dd2225d552669adebf8cc5480cb9be8"),
             (3, False, "fcf946aa2245fbeccb84b9342230493c20fc7b3f8930dc098d74698edcd65ee9"),
         ],
+        ids=["15-symmetric", "15-asymmetric", "5-symmetric", "5-asymmetric"],
     )
     def test_bytes(self, grid, stride, symmetry, expected):
         data = grid[::stride]
@@ -796,27 +795,25 @@ class TestCalibrateExact:
     def test_fit_has_the_largest_margin_of_its_kept_rows(self, points, symmetry, epsilon):
         # The fit is the LP point that pushes the kept products furthest
         # below epsilon: no unflagged product exceeds epsilon - t*, where t*
-        # is that LP's optimum, solved again here from build_milp's rows.
-        # An exact count releases exactly the flagged conditions, so the
-        # kept rows are the unflagged ones.  NOISY_FIVE is the 15-point
+        # is that LP's optimum, solved again here from the exact stages'
+        # rows.  An exact count releases exactly the flagged conditions, so
+        # the kept rows are the unflagged ones.  NOISY_FIVE is the 15-point
         # set's every-third subset.
         data = NOISY_FIVE if points == 5 else noisy_protocol_grid()
         opts = CalibrationOptions(epsilon=epsilon, symmetry=symmetry)
         result = calibrate_exact(data, opts)
         assert result.certificate == "exact"
         kept = ~np.ravel(result.indicator_assignment)
-        _, _, bounds, constraints = build_milp(data, opts)
-        n = len(_variable_space(opts).names)
-        m = kept.size
-        A = np.asarray(constraints.A)[:, :n]
+        box, coupling, coupling_ub = milp_box(data, opts)
+        conditions = _exact_problem(data, opts).conditions[kept]
         lp = linprog(
-            np.append(np.zeros(n), -1.0),
+            np.append(np.zeros(coupling.shape[1]), -1.0),
             A_ub=np.vstack((
-                np.column_stack((A[:m][kept], np.ones(kept.sum()))),
-                np.column_stack((A[m:], np.zeros(len(A) - m))),
+                np.column_stack((conditions, np.ones(len(conditions)))),
+                np.column_stack((coupling, np.zeros(len(coupling)))),
             )),
-            b_ub=np.concatenate((np.full(kept.sum(), epsilon), constraints.ub[m:])),
-            bounds=list(zip(bounds.lb[:n], bounds.ub[:n])) + [(0.0, epsilon)],
+            b_ub=np.concatenate((np.full(len(conditions), epsilon), coupling_ub)),
+            bounds=box + [(0.0, epsilon)],
             method="highs",
         )
         assert lp.status == 0

@@ -579,25 +579,51 @@ class TestCalibrate:
         assert "uniqueness_link1 = true" in out
         assert "uniqueness_link2 = true" in out
 
-    def test_exact_stdout_holds_only_the_report(self, tmp_path):
-        # Asymmetric exact calibration of these points at 1e-3 makes HiGHS
-        # print diagnostics from C++ straight to file descriptor 1.  Run in
-        # a child with stdout on a pipe (C stdio fully buffered there) and
-        # check every line it wrote.
+    #: A line of the calibration report.
+    REPORT_LINE = re.compile(r"[a-z0-9_]+ = \S+|flags:|k,ef1,eb1,ef2,eb2|\d+,[01],[01],[01],[01]")
+
+    def exact_report(self, tmp_path, prelude=""):
+        """Run exact symmetric calibration of the seed-1 protocol grid's
+        every-third subset at 1e-3 after ``prelude``, in a child with stdout on
+        a pipe, and check every stdout line.  The child runs without
+        PYTHONUNBUFFERED (which makes Python switch C stdio to unbuffered), so
+        its C stdio is fully buffered, as in ``divergelane calibrate > file``."""
         path = tmp_path / "noisy.csv"
-        path.write_text(NOISY_FIVE_CSV)
+        write_dataset(path, noisy_protocol_grid(seed=1)[::3])
         src = str(Path(divergelane.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        code = prelude + "import sys\nfrom divergelane import cli\nsys.exit(cli.main(sys.argv[1:]))"
         child = subprocess.run(
-            [sys.executable, "-m", "divergelane.cli", "calibrate", "--data", str(path),
+            [sys.executable, "-c", code, "calibrate", "--data", str(path), "--symmetry",
              "--solver", "exact", "--tol", "1e-3"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=False,
         )
         assert child.returncode == 0, child.stderr.decode()
         lines = child.stdout.decode().splitlines()
-        allowed = re.compile(r"[a-z0-9_]+ = \S+|flags:|k,ef1,eb1,ef2,eb2|\d+,[01],[01],[01],[01]")
-        assert [line for line in lines if not allowed.fullmatch(line)] == []
-        assert lines[8:10] == ["certificate = exact", "violations = 4"]
+        assert [line for line in lines if not self.REPORT_LINE.fullmatch(line)] == []
+        assert lines[9:11] == ["certificate = exact", "violations = 4"]
+
+    def test_exact_stdout_holds_only_the_report(self, tmp_path):
+        # HiGHS 1.12 prints MIP diagnostics from C++ straight to file
+        # descriptor 1 while it solves these points.
+        self.exact_report(tmp_path)
+
+    def test_solver_writes_to_stdout_are_silenced(self, tmp_path):
+        # The same, whatever HiGHS prints: milp itself first writes to file
+        # descriptor 1 through C stdio, left unflushed, and through os.write.
+        self.exact_report(
+            tmp_path,
+            "import ctypes, os, scipy.optimize\n"
+            "puts = ctypes.CDLL(None).puts\n"
+            "puts.argtypes, puts.restype = (ctypes.c_char_p,), ctypes.c_int\n"
+            "real = scipy.optimize.milp\n"
+            "def milp(*args, **kwargs):\n"
+            "    puts(b'C stdio line')\n"
+            "    os.write(1, b'os.write line\\n')\n"
+            "    return real(*args, **kwargs)\n"
+            "scipy.optimize.milp = milp\n",
+        )
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -854,6 +880,7 @@ class TestPinnedBytes:
             ("heuristic", "bc860eb312a2855dfe8ae7483ea55c8c85785f173822e0d2fca4cbbd41925cf5"),
             ("exact", "46d5a61641eb375122ecf8779df8dd2b89ae9483c19509b8822ee91c48400a9e"),
         ],
+        ids=["heuristic", "exact"],
     )
     def test_symmetric_calibrate_bytes(self, capsys, tmp_path, solver, digest):
         # The report, recovered coefficients included, goes to stdout.
@@ -872,6 +899,7 @@ class TestPinnedBytes:
             ("heuristic", "d9fdf9bcea4f0b3c5f766efbc27618664a88e665c20620f8825222d28962ee2e"),
             ("exact", "29854500fd611e76aa4ed339b75239614291c402ea2af877253c104a3fbe1cbb"),
         ],
+        ids=["heuristic", "exact"],
     )
     def test_asymmetric_calibrate_bytes(self, capsys, tmp_path, solver, digest):
         path = tmp_path / "noisy.csv"
