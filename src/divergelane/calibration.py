@@ -25,7 +25,8 @@ Two solvers share that encoding:
   :func:`scipy.optimize.milp` finds the count: provably minimal when HiGHS
   closes the search within ``MILP_NODE_LIMIT`` branch-and-bound nodes, its
   best so far otherwise.  Then one LP (:func:`scipy.optimize.linprog`) places
-  the fit furthest below the margin on the condition rows the MILP kept.
+  the fit furthest below the margin on the condition rows the MILP kept; when
+  HiGHS finds no optimum for it, the MILP's own point is the fit.
 * :func:`calibrate_search` — a seeded multi-start steepest coordinate
   (compass) search, with no pattern move: each sweep moves every restart at
   once to its best one-step neighbour, and the search ends after the first
@@ -87,18 +88,9 @@ _CB = COEFFICIENT_NAMES.index("cb")
 #: so the output stays byte-deterministic.
 MILP_NODE_LIMIT = 10_000
 
-#: HiGHS options :func:`calibrate_exact` passes besides its node limit.
-#: :func:`build_milp` is feasible by construction (any box point with every
-#: indicator at 1 meets every row), so feasibility jump, a heuristic that
-#: searches for a first feasible point, has nothing to find.  Under HiGHS 1.12
-#: 5-point solves at 1e-3 took 0.060–0.075 s with it and 0.034–0.045 s without
-#: (CPU, one thread, median of 5).
-_HIGHS_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
-
 
 class ConfigurationError(ValueError):
-    """HiGHS rejected the calibration MILP, returned no solution for it, or
-    returned no optimum for the LP that places the fit."""
+    """HiGHS rejected the calibration MILP or returned no point for it."""
 
 
 @dataclass(frozen=True)
@@ -368,8 +360,11 @@ def build_milp(
     return _milp_arrays(_exact_problem(data, opts), opts.epsilon)
 
 
-def _fewest_violations(problem: _ExactProblem, epsilon: float) -> tuple[np.ndarray, int]:
-    """Stage 1, the MILP: the mask of the condition rows it keeps, and its count bound."""
+def _fewest_violations(
+    problem: _ExactProblem, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Stage 1, the MILP: its point ``z``, the mask of the condition rows it
+    keeps, and its count bound."""
     from scipy.optimize import OptimizeWarning, milp
 
     c, integrality, bounds, constraints = _milp_arrays(problem, epsilon)
@@ -381,20 +376,26 @@ def _fewest_violations(problem: _ExactProblem, epsilon: float) -> tuple[np.ndarr
             warnings.filterwarnings("ignore", "Unrecognized options detected", category)
         result = milp(
             c, integrality=integrality, bounds=bounds, constraints=constraints,
-            # A new dict each call: milp pops the options it knows from it.
-            options={"node_limit": MILP_NODE_LIMIT, **_HIGHS_OPTIONS},
+            # The MILP is feasible by construction (any box point with every
+            # indicator at 1 meets every row), so feasibility jump, a heuristic
+            # that searches for a first feasible point, has nothing to find.
+            # Under HiGHS 1.12 5-point solves at 1e-3 took 0.060–0.075 s with
+            # it and 0.034–0.045 s without (CPU, one thread, median of 5).
+            options={"node_limit": MILP_NODE_LIMIT, "mip_heuristic_run_feasibility_jump": False},
         )
     if result.x is None:
         what = "is rejected by HiGHS" if "Model error" in result.message else "has no solution"
         raise ConfigurationError(f"the calibration MILP {what}: {result.message}")
-    return result.x[len(problem.lo):] < 0.5, math.ceil(result.mip_dual_bound - 1e-6)
+    n = len(problem.lo)
+    return result.x[:n], result.x[n:] < 0.5, math.ceil(result.mip_dual_bound - 1e-6)
 
 
-def _max_margin_point(problem: _ExactProblem, epsilon: float) -> np.ndarray:
+def _max_margin_point(problem: _ExactProblem, epsilon: float, z: np.ndarray) -> np.ndarray:
     """Stage 2, the LP: the ``z`` maximizing a margin ``t`` in [0, epsilon] over
     ``problem``'s condition rows, ``A_k.z + t <= epsilon`` (so epsilon is no matrix
-    entry), in its box and coupling rows.  The MILP's ``z`` at ``t = 0`` meets the
-    rows stage 1 kept, so an LP without an optimum is a :class:`ConfigurationError`."""
+    entry), in its box and coupling rows; the MILP's point ``z`` if HiGHS finds no
+    optimum.  That point meets the kept rows only within HiGHS's feasibility
+    tolerance, and HiGHS reads an epsilon of 1e20 or more as no bound at all."""
     from scipy.optimize import linprog
 
     _, A, coupling, lo, hi = problem
@@ -405,9 +406,7 @@ def _max_margin_point(problem: _ExactProblem, epsilon: float) -> np.ndarray:
         bounds=np.column_stack((np.append(lo, 0.0), np.append(hi, epsilon))),
         method="highs",
     )
-    if result.status != 0:
-        raise ConfigurationError(f"the calibration LP has no optimum: {result.message}")
-    return result.x[:-1]
+    return result.x[:-1] if result.status == 0 else z
 
 
 def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> CalibrationResult:
@@ -416,15 +415,16 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
     Any fit violating ``n`` conditions gives a MILP point with ``sum(e) = n``,
     so HiGHS's proven bound on ``sum(e)`` bounds the count below, also when it
     stops at ``MILP_NODE_LIMIT`` nodes with its best fit so far.  The LP places
-    the fit on the rows the MILP kept; its recount (:func:`count_violations`)
-    is certified ``exact`` only if it meets the bound.
+    the fit on the rows the MILP kept, or leaves the MILP's point when it has
+    no optimum; the fit's recount (:func:`count_violations`) is certified
+    ``exact`` only if it meets the bound.
     """
     if len(data) == 0:
         raise ValueError("data must be non-empty")
     problem = _exact_problem(data, opts)
     with _c_stdout_silenced():
-        kept, bound = _fewest_violations(problem, opts.epsilon)
-        z = _max_margin_point(problem._replace(conditions=problem.conditions[kept]), opts.epsilon)
+        z, kept, bound = _fewest_violations(problem, opts.epsilon)
+        z = _max_margin_point(problem._replace(conditions=problem.conditions[kept]), opts.epsilon, z)
     coefficients = problem.space.coefficients(_recover_parameters(z, problem.space))
     return _result(coefficients, data, opts.epsilon, bound)
 

@@ -777,17 +777,38 @@ class TestCalibrateExact:
         ):
             calibrate_exact(NOISY_FIVE, CalibrationOptions(epsilon=1e-3))
 
-    def test_lp_without_an_optimum_raises(self, monkeypatch):
-        # The MILP's own point is feasible for the LP, so HiGHS returning no
-        # optimum there is a solver failure, reported like the MILP's.
+    def test_lp_without_an_optimum_keeps_the_milp_point(self, monkeypatch):
+        # When HiGHS finds no optimum for the fit LP, the MILP's own point is
+        # the fit, printed with its recount.
+        real = scipy.optimize.milp
+        points = []
+
+        def recording_milp(*args, **kwargs):
+            result = real(*args, **kwargs)
+            points.append(result.x)
+            return result
+
+        monkeypatch.setattr("scipy.optimize.milp", recording_milp)
         monkeypatch.setattr(
             "scipy.optimize.linprog",
             lambda *args, **kwargs: SimpleNamespace(status=4, message="numerical difficulties"),
         )
-        with pytest.raises(
-            ConfigurationError, match="^the calibration LP has no optimum: numerical difficulties$"
-        ):
-            calibrate_exact(NOISY_FIVE, CalibrationOptions(epsilon=1e-3))
+        opts = CalibrationOptions(epsilon=1e-3)
+        result = calibrate_exact(NOISY_FIVE, opts)
+        space = _variable_space(opts)
+        [x] = points
+        z = x[:len(space.names)]
+        assert result.coefficients == space.coefficients(_recover_parameters(z, space))
+        assert result.violations == count_violations(result.coefficients, NOISY_FIVE, 1e-3).count
+
+    def test_infeasible_lp_at_the_default_margin_prints_a_fit(self):
+        # HiGHS accepts the MILP's point within its feasibility tolerance, so
+        # at 1e-6 the LP can find the kept rows infeasible.  The MILP's point
+        # is then the fit, certified heuristic with its recount.
+        data = noisy_protocol_grid(seed=14)[1::3]
+        result = calibrate_exact(data, CalibrationOptions(symmetry=True))
+        assert (result.certificate, result.violations) == ("heuristic", 10)
+        assert result.violations == count_violations(result.coefficients, data, 1e-6).count
 
     @pytest.mark.parametrize("epsilon", [1e-3, 1e-2])
     @pytest.mark.parametrize("symmetry", [True, False])

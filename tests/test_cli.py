@@ -541,15 +541,28 @@ class TestCalibrate:
 
     def test_huge_margin_certifies_every_condition(self, capsys, tmp_path):
         # epsilon is a row and column bound of the MILP and the LP, never a
-        # matrix entry, so HiGHS takes even 1e15 and certifies that every
-        # condition holds.
+        # matrix entry, so the MILP takes even 1e300 and certifies that every
+        # condition holds.  From 1e15 up HiGHS may find no optimum for the LP
+        # (from 1e20 it reads epsilon as no bound, so the LP is unbounded);
+        # the MILP's point is then the fit.
         path = tmp_path / "noisy.csv"
         path.write_text(NOISY_FIVE_CSV)
         argv = ["calibrate", "--data", path, "--solver", "exact", "--tol"]
-        for tol in ("1e14", "1e15"):
-            code, out, _ = run(capsys, [*argv, tol])
-            assert code == 0
-            assert "certificate = exact\nviolations = 0\n" in out, tol
+        for symmetry in ([], ["--symmetry"]):
+            for tol in ("1e14", "1e15", "1e20", "1e300"):
+                code, out, _ = run(capsys, [*argv, tol, *symmetry])
+                assert code == 0
+                assert "certificate = exact\nviolations = 0\n" in out, (symmetry, tol)
+
+    def test_infeasible_lp_at_the_default_margin_prints_a_fit(self, capsys, tmp_path):
+        # At the default 1e-6 HiGHS accepts the MILP's point on these points
+        # within its feasibility tolerance, and the LP finds the rows the
+        # MILP kept infeasible.  The MILP's point is then the fit.
+        path = tmp_path / "noisy.csv"
+        write_dataset(path, noisy_protocol_grid(seed=14)[1::3])
+        code, out, _ = run(capsys, ["calibrate", "--data", path, "--symmetry", "--solver", "exact"])
+        assert code == 0
+        assert "certificate = heuristic\n" in out
 
     def test_negative_seed_exits_1(self, capsys, sweep_file):
         code, _, err = run(capsys, ["calibrate", "--data", sweep_file, "--seed", "-1"])
