@@ -148,7 +148,7 @@ class CalibrationResult:
 
 
 def count_violations(
-    c: CostCoefficients, data: Sequence[DataPoint], epsilon: float = 1e-6
+    c: CostCoefficients, data: Sequence[DataPoint], epsilon: float = CalibrationOptions.epsilon
 ) -> ViolationCount:
     """Count equilibrium conditions violated by ``c`` over ``data``.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import NoReturn, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .fileio import (
     write_dataset_columns,
 )
 from .model import (
-    EQUILIBRIUM_TOL, DemandConfig, check_total_demand, max_residual, share_matrix,
-    uniqueness_margins,
+    EQUILIBRIUM_TOL, DemandConfig, check_total_demand, check_uniqueness_condition, max_residual,
+    share_matrix, uniqueness_margins,
 )
 
 EXIT_OK = 0
@@ -69,6 +69,12 @@ def _range_values(start: float, stop: float, step: float) -> list[float]:
         )
     # start + i*step can round one ulp past stop.
     return [min(start + i * step, stop) for i in range(int(math.floor(last)) + 1)]
+
+
+def _given(**flags: Any) -> dict[str, Any]:
+    """The flags the command line gave, so the config dataclass states every
+    default.  A flag left out is ``None``; a zero is a value given."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _parse_fields(text: str, form: str) -> list[float]:
@@ -139,15 +145,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from .datagen import SimulationConfig, generate_dataset
 
     coeffs = load_coefficients(args.coeffs)
-    start, stop, step = _parse_fields(args.sweep, "START:STOP:STEP")
-    demands = tuple(_range_values(start, stop, step))
-    cfg = SimulationConfig(
-        n_vehicles=args.n,
-        sigma=args.sigma,
-        seed=args.seed,
-        total_demand_vph=args.D,
+    demands = None
+    if args.sweep is not None:
+        start, stop, step = _parse_fields(args.sweep, "START:STOP:STEP")
+        demands = tuple(_range_values(start, stop, step))
+    cfg = SimulationConfig(**_given(
+        n_vehicles=args.n, sigma=args.sigma, seed=args.seed, total_demand_vph=args.D,
         demand_sweep=demands,
-    )
+    ))
     write_dataset(args.out, generate_dataset(coeffs, cfg))
     return EXIT_OK
 
@@ -158,11 +163,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     data = load_dataset(args.data)
     if not data:
         raise ValueError(f"dataset {args.data!r} contains no rows")
-    opts = CalibrationOptions(
-        epsilon=args.tol,
-        symmetry=args.symmetry,
-        seed=args.seed,
-    )
+    opts = CalibrationOptions(symmetry=args.symmetry, **_given(epsilon=args.tol, seed=args.seed))
     if args.solver == "exact":
         result = calibrate_exact(data, opts)
     else:
@@ -184,11 +185,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     coeffs = load_coefficients(args.coeffs)
-    margins = uniqueness_margins(coeffs)
+    passes = check_uniqueness_condition(coeffs)
     print("link,margin,pass")
-    for link, margin in zip((1, 2), margins):
-        print(f"{link},{margin!r},{_bool_text(margin >= 0.0)}")
-    return EXIT_OK if all(m >= 0.0 for m in margins) else EXIT_CONDITION_FAILED
+    for link, margin, holds in zip((1, 2), uniqueness_margins(coeffs), passes):
+        print(f"{link},{margin!r},{_bool_text(holds)}")
+    return EXIT_OK if all(passes) else EXIT_CONDITION_FAILED
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -245,25 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
         "generate", help="simulate noisy steady-state data over a demand sweep"
     )
     generate.add_argument("--coeffs", required=True)
-    generate.add_argument("--D", type=float, default=3000.0, help="total demand (vph)")
-    generate.add_argument(
-        "--sweep", default="1150:1850:50", help="exit-1 demand sweep as START:STOP:STEP (vph)"
-    )
-    generate.add_argument("--sigma", type=float, default=0.5, help="driver imperfection in [0, 1]")
-    generate.add_argument("--n", type=int, default=5000, help="number of simulated drivers")
-    generate.add_argument("--seed", type=int, default=1)
+    generate.add_argument("--D", type=float, help="total demand (vph)")
+    generate.add_argument("--sweep", help="exit-1 demand sweep as START:STOP:STEP (vph)")
+    generate.add_argument("--sigma", type=float, help="driver imperfection in [0, 1]")
+    generate.add_argument("--n", type=int, help="number of simulated drivers")
+    generate.add_argument("--seed", type=int)
     generate.add_argument("--out", required=True)
     generate.set_defaults(handler=_cmd_generate)
 
     calibrate = sub.add_parser("calibrate", help="recover coefficients from a dataset")
     calibrate.add_argument("--data", required=True, help="dataset CSV")
-    calibrate.add_argument("--symmetry", action="store_true", help="tie the two links' coefficients")
-    calibrate.add_argument("--solver", choices=("exact", "heuristic"), default="heuristic")
-    calibrate.add_argument("--seed", type=int, default=0)
     calibrate.add_argument(
-        "--tol",
-        type=float,
-        default=1e-6,
+        "--symmetry", action="store_true", help="tie the two links' coefficients"
+    )
+    calibrate.add_argument("--solver", choices=("exact", "heuristic"), default="heuristic")
+    calibrate.add_argument("--seed", type=int)
+    calibrate.add_argument(
+        "--tol", type=float,
         help="violation margin; scale it to the data noise (1e-2 for sigma=0.5 data)",
     )
     calibrate.add_argument("--out", help="write recovered coefficients here instead of stdout")

@@ -292,11 +292,11 @@ def solve_fixed_point(
         delta = max(abs(y1_new - y1), abs(y2_new - y2))
         y1, y2 = y1_new, y2_new
         if delta <= tol:
-            flow = FlowDistribution(max(q1 - y1, 0.0), y1, max(q2 - y2, 0.0), y2)
+            flow = FlowDistribution.from_bifurcating_shares(g.demand, y1, y2)
             residuals = wardrop_residuals(g, flow)
             if residuals.max_residual <= tol:
                 return EquilibriumReport(flow, iterations, residuals, converged=True)
-    flow = FlowDistribution(max(q1 - y1, 0.0), y1, max(q2 - y2, 0.0), y2)
+    flow = FlowDistribution.from_bifurcating_shares(g.demand, y1, y2)
     residuals = wardrop_residuals(g, flow)
     return EquilibriumReport(flow, iterations, residuals, converged=False)
 
@@ -350,6 +350,4 @@ def solve_grid_oracle(g: DivergeInstance, resolution: float) -> FlowDistribution
     # argmin scans xb1-major then xb2, so the first minimum is the
     # lexicographically smallest tie.
     i, j = np.unravel_index(int(np.argmin(objective)), objective.shape)
-    b1 = float(axis1[i])
-    b2 = float(axis2[j])
-    return FlowDistribution(max(q1 - b1, 0.0), b1, max(q2 - b2, 0.0), b2)
+    return FlowDistribution.from_bifurcating_shares(g.demand, float(axis1[i]), float(axis2[j]))

@@ -32,8 +32,10 @@ ABS_TOL = 1e-12
 #: Default tolerance when certifying a flow split as an equilibrium.
 EQUILIBRIUM_TOL = 1e-9
 
-#: Lower bound enforced on the capacity-increase factors so best responses
-#: stay well defined (denominators strictly positive).
+#: Lower bound keeping the capacity-increase factors strictly positive, as
+#: the model states: the lower end of calibration's ``FACTOR_BOUNDS`` and the
+#: factor products' column bound in the exact MILP.  No division needs it: a
+#: best response's denominator is at least ``cf_i > 0`` for any factor >= 0.
 FACTOR_FLOOR = 1e-9
 
 LINKS = (1, 2)

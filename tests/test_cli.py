@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 import divergelane
 
 from divergelane import (
+    CalibrationOptions,
+    CalibrationResult,
     CostCoefficients,
     DataPoint,
     DemandConfig,
     DivergeInstance,
     FlowDistribution,
+    SimulationConfig,
     count_violations,
     format_dataset,
     load_coefficients,
@@ -637,6 +640,65 @@ class TestCalibrate:
             "    return real(*args, **kwargs)\n"
             "scipy.optimize.milp = milp\n",
         )
+
+
+class TestDefaults:
+    """``generate`` and ``calibrate`` pass their dataclass only the flags
+    given, so ``SimulationConfig`` and ``CalibrationOptions`` state every
+    default, and a zero given reaches them."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+
+        def generate(coeffs, cfg):
+            seen.append(cfg)
+            return []
+
+        def search(data, opts):
+            seen.append(opts)
+            return CalibrationResult(CAL_VAL, 0, (), "heuristic", (True, True))
+
+        monkeypatch.setattr("divergelane.datagen.generate_dataset", generate)
+        monkeypatch.setattr("divergelane.calibration.calibrate_search", search)
+        return seen
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], SimulationConfig()),
+            (["--sigma", "0", "--seed", "0"], SimulationConfig(sigma=0.0, seed=0)),
+            (
+                ["--n", "7", "--D", "2000", "--sweep", "900:1100:100"],
+                SimulationConfig(
+                    n_vehicles=7, total_demand_vph=2000.0, demand_sweep=(900.0, 1000.0, 1100.0)
+                ),
+            ),
+        ],
+        ids=("no-flags", "zeros", "every-flag"),
+    )
+    def test_generate(self, capsys, tmp_path, coeffs_file, configs, flags, expected):
+        argv = ["generate", "--coeffs", coeffs_file, "--out", tmp_path / "x.csv", *flags]
+        assert run(capsys, argv)[0] == 0
+        assert configs == [expected]
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], CalibrationOptions()),
+            (["--seed", "0"], CalibrationOptions(seed=0)),
+            (
+                ["--seed", "5", "--tol", "1e-3", "--symmetry"],
+                CalibrationOptions(epsilon=1e-3, symmetry=True, seed=5),
+            ),
+        ],
+        ids=("no-flags", "zero-seed", "every-flag"),
+    )
+    def test_calibrate(self, capsys, tmp_path, configs, flags, expected):
+        path = tmp_path / "noisy.csv"
+        path.write_text(NOISY_FIVE_CSV)
+        assert run(capsys, ["calibrate", "--data", path, *flags])[0] == 0
+        assert configs == [expected]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,6 +1,6 @@
 """Cost functions, residuals, and the uniqueness condition."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,13 +20,16 @@ from divergelane import (
     feed_through_cost,
     is_wardrop_equilibrium,
     lane_costs,
+    solve_equilibria,
     solve_fixed_point,
     uniqueness_margins,
     wardrop_residuals,
 )
 
 from divergelane.fileio import format_dataset, parse_dataset
-from divergelane.model import COEFFICIENT_NAMES, FACTOR_NAMES, RATE_NAMES, share_matrix
+from divergelane.model import (
+    COEFFICIENT_NAMES, EQUILIBRIUM_TOL, FACTOR_NAMES, RATE_NAMES, share_matrix,
+)
 
 from conftest import (
     CAL_VAL,
@@ -34,6 +37,7 @@ from conftest import (
     admissible,
     boundary_tuples,
     coefficients,
+    noisy_protocol_grid,
     random_coefficients,
 )
 
@@ -261,6 +265,33 @@ class TestInvariants:
         xf1, xb1, xf2, xb2 = shares
         f1, b1, f2, b2 = lane_costs(sym, xf1, xb1, xf2, xb2)
         assert lane_costs(sym, xf2, xb2, xf1, xb1) == (f2, b2, f1, b1)
+
+    def test_cb_factor_rescaling_changes_nothing(self):
+        # The costs read cb only times a factor, so (cb*k, factors/k) with k a
+        # power of two, both products exact, gives the same bits everywhere.
+        data = noisy_protocol_grid()
+        shares = share_matrix(data)
+        q1 = np.linspace(0.0, 1.0, 2001)
+
+        def outputs(c):
+            return (
+                np.stack(lane_costs(c, *shares)).tobytes(),
+                np.array(uniqueness_margins(c)).tobytes(),
+                count_violations(c, data).products.tobytes(),
+                [a.tobytes() for a in solve_equilibria(c, q1, EQUILIBRIUM_TOL)],
+            )
+
+        rng = np.random.default_rng(3)
+        pairs = 0
+        for _ in range(200):
+            c = random_coefficients(rng)
+            before = outputs(c)
+            for k in (0.25, 0.5, 2.0, 4.0):
+                factors = {name: getattr(c, name) / k for name in FACTOR_NAMES}
+                if all(admissible(name, v) for name, v in factors.items()):
+                    assert outputs(replace(c, cb=c.cb * k, **factors)) == before, (c, k)
+                    pairs += 1
+        assert pairs > 300
 
     def test_residual_antisymmetry(self):
         rng = np.random.default_rng(13)
