@@ -434,15 +434,18 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
 
 
 #: Residual products :func:`_objectives` forms at once: it scores its rows in
-#: blocks of at most this many, so its memory does not grow with the number
-#: of rows times the number of points.
+#: blocks of at most this many (one products array and one flag array each),
+#: so its memory does not grow with the number of rows times the number of
+#: points.  2**13, 2**15 and 2**16 were no faster.
 _BLOCK_PRODUCTS = 2**14
 
 
 def _products(theta: np.ndarray, conditions: np.ndarray, space: _VariableSpace) -> np.ndarray:
     """Residual products of each row of ``theta``, ``(M, 4K)``: its linearized
     values dotted with the rows of :func:`_condition_matrix`, by an ``einsum`` on
-    their contiguous transpose that rounds each row alone (BLAS rounds by M)."""
+    their contiguous transpose.  The einsum adds each product's terms in
+    column order with no fused multiply-add, so a row rounds alone, whatever
+    block it is scored in (BLAS rounds by M)."""
     return np.einsum("mj,jk->mk", space.linearize(theta), np.ascontiguousarray(conditions.T))
 
 
@@ -453,14 +456,20 @@ def _objectives(theta: np.ndarray, conditions: np.ndarray, space: _VariableSpace
     violated products, rows of the MILP's condition matrix (:func:`_products`).
     Tertiary: uniqueness deficit, so that among otherwise equivalent fits the
     solver prefers one certified unique.  No row depends on another.
+
+    A block builds only its products ``P`` and its flags: the count adds the
+    flags in ``intp``, and the secondary zeroes the unflagged products in
+    place before the row sum.  A negative product becomes -0.0, which sums,
+    sorts and tests as 0.0, so both equal ``(P > epsilon).sum(1)`` and
+    ``np.where(P > epsilon, P, 0.0).sum(1)``.
     """
     rows = max(1, _BLOCK_PRODUCTS // len(conditions))
     out = np.empty((len(theta), 3))
     for first in range(0, len(theta), rows):
         products = _products(theta[first:first + rows], conditions, space)
         flags = products > epsilon
-        out[first:first + rows, 0] = flags.sum(axis=1)
-        out[first:first + rows, 1] = np.where(flags, products, 0.0).sum(axis=1)
+        out[first:first + rows, 0] = np.add.reduce(flags, axis=1, dtype=np.intp)
+        out[first:first + rows, 1] = np.multiply(products, flags, out=products).sum(axis=1)
     c = _Columns(*(theta[:, j] for j in space.tie))
     out[:, 2] = np.maximum(0.0, -np.minimum(*uniqueness_margins(c)))
     return out
@@ -544,7 +553,8 @@ def _lockstep_refine(
         step = directions * (fraction * (hi - lo))
         live = np.arange(len(theta))
         for _ in range(_MAX_SWEEPS):
-            trials = np.clip(theta[live, None] + step, lo, hi)
+            # The same values as np.clip, without its Python wrapper.
+            trials = np.minimum(np.maximum(theta[live, None] + step, lo), hi)
             scores = _objectives(trials.reshape(-1, lo.shape[0]), conditions, space, epsilon)
             # Each row's own point stands first, so a stable sort keeps it
             # unless a move beats it, and keeps the first of tied moves.

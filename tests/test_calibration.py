@@ -626,6 +626,57 @@ class TestSearchKernel:
         assert np.array_equal(_objectives(rows[::-1], conditions, space, 1e-3)[::-1], expected)
         assert np.array_equal(_objectives(mixed, conditions, space, 1e-3)[at], expected)
 
+    @staticmethod
+    def plain_objectives(theta, conditions, space, epsilon):
+        """The count and the summed violated products, written plainly."""
+        products = _products(theta, conditions, space)
+        flags = products > epsilon
+        return flags.sum(axis=1), np.where(flags, products, 0.0).sum(axis=1)
+
+    @settings(max_examples=200)
+    @given(
+        points=feasible_points(),
+        symmetry=st.booleans(),
+        u=st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8), min_size=1, max_size=6),
+        # 1e3 lies above every product in the box, so every row violates nothing.
+        epsilon=st.sampled_from((0.0, 1e-6, 1e-3, 1e-2, 1e3)),
+    )
+    def test_objectives_equal_the_plain_formulas(self, points, symmetry, u, epsilon):
+        space = _variable_space(CalibrationOptions(symmetry=symmetry))
+        theta = space.lo + np.array(u)[:, : len(space.names)] * (space.hi - space.lo)
+        theta = np.minimum(theta, space.hi)
+        conditions = _condition_matrix(share_matrix(points), space)
+        count, positive = self.plain_objectives(theta, conditions, space, epsilon)
+        value = _objectives(theta, conditions, space, epsilon)
+        assert np.array_equal(value[:, 0], count)
+        assert np.array_equal(value[:, 1], positive)
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_objectives_equal_the_plain_formulas_past_255(self, symmetry):
+        # 160 interior equilibria of CAL_VAL, 640 conditions: a random row
+        # violates one condition of nearly every link, more than a uint8
+        # count holds, while the truth violates nothing, with products of
+        # both signs.
+        data = noiseless_protocol_dataset(sweep_vph=tuple(np.linspace(1150.0, 1850.0, 160)))
+        arrays = share_matrix(data)
+        assert (arrays > 0.0).all()
+        space = _variable_space(CalibrationOptions(symmetry=symmetry))
+        conditions = _condition_matrix(arrays, space)
+        first = [space.tie.index(j) for j in range(len(space.names))]
+        truth = np.array(CAL_VAL.as_tuple())[first]
+        rng = np.random.default_rng(3)
+        rows = space.lo + rng.random((200, len(space.names))) * (space.hi - space.lo)
+        theta = np.vstack((truth, rows))
+        assert (_products(theta, conditions, space) < 0.0).any(axis=1).all()
+        for epsilon in (1e-6, 1e-3):
+            count, positive = self.plain_objectives(theta, conditions, space, epsilon)
+            assert count[0] == 0 and count.max() > 255
+            assert not np.array_equal(count.astype(np.uint8), count)
+            value = _objectives(theta, conditions, space, epsilon)
+            assert np.array_equal(value[:, 0], count)
+            assert np.array_equal(value[:, 1], positive)
+            assert not value[0, :2].any()
+
 
 class TestDefaultBox:
     """Both solvers search the module's one coefficient box."""
