@@ -18,7 +18,6 @@ _EXPORTS = {
             "CalibrationResult",
             "ConfigurationError",
             "ViolationCount",
-            "build_milp",
             "calibrate_exact",
             "calibrate_search",
             "count_violations",

@@ -21,7 +21,7 @@ Two solvers share that encoding:
 
 * :func:`calibrate_exact` — two stages that read one set of rows: the
   condition matrix, the coupling rows and the box.  A mixed-integer program
-  (:func:`build_milp`, one indicator per condition) solved by HiGHS through
+  (one indicator per condition) solved by HiGHS through
   :func:`scipy.optimize.milp` finds the count: provably minimal when HiGHS
   closes the search within ``MILP_NODE_LIMIT`` branch-and-bound nodes, its
   best so far otherwise.  Then one LP (:func:`scipy.optimize.linprog`) places
@@ -44,12 +44,9 @@ import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.optimize import Bounds, LinearConstraint
 
 from .model import (
     COEFFICIENT_NAMES,
@@ -215,15 +212,6 @@ def _variable_space(opts: CalibrationOptions) -> _VariableSpace:
     return _VariableSpace(tie, names, factor, lo, hi)
 
 
-def linearized_values(c: CostCoefficients, symmetry: bool) -> dict[str, float]:
-    """Map a coefficient vector into the linearized variable space (a tied
-    parameter takes the value of the first coefficient in its group)."""
-    space = _variable_space(CalibrationOptions(symmetry=symmetry))
-    first = [space.tie.index(j) for j in range(len(space.names))]
-    theta = np.array(c.as_tuple())[first]
-    return dict(zip(space.names, space.linearize(theta).tolist()))
-
-
 def _linear_rows(kernel, a: np.ndarray, space: _VariableSpace) -> tuple[np.ndarray, ...]:
     """The quantities ``kernel(c, *a)`` (``cost_gaps`` or
     ``residual_products``) as ``(K, n)`` rows: row k of each, dotted with
@@ -330,6 +318,15 @@ def _exact_problem(data: Sequence[DataPoint], opts: CalibrationOptions) -> _Exac
 
 
 def _milp_arrays(problem: _ExactProblem, epsilon: float):
+    """The exact-calibration MILP as ``(c, integrality, bounds, constraints)``,
+    the arguments of :func:`scipy.optimize.milp`.
+
+    Columns are the linearized coefficients ``z`` within their box and one
+    binary ``e`` per condition (row order of :func:`_condition_matrix`).
+    Condition ``k`` gives the row ``A_k.z - T_k*e_k <= eps``, where ``T_k``
+    is the largest value ``A_k.z`` takes on the box, so ``e_k = 1`` releases
+    the row.  The factor-coupling rows follow.  The objective is ``sum(e)``.
+    """
     # scipy loads here, not at import, so commands without a MILP skip its
     # import time and memory.
     from scipy.optimize import Bounds, LinearConstraint
@@ -343,21 +340,6 @@ def _milp_arrays(problem: _ExactProblem, epsilon: float):
     bounds = Bounds(np.concatenate((lo, np.zeros(m))), np.concatenate((hi, np.ones(m))))
     ub = np.concatenate((np.full(m, epsilon), np.zeros(len(coupling))))
     return c, integrality, bounds, LinearConstraint(rows, -np.inf, ub)
-
-
-def build_milp(
-    data: Sequence[DataPoint], opts: CalibrationOptions
-) -> tuple[np.ndarray, np.ndarray, Bounds, LinearConstraint]:
-    """The exact-calibration MILP as ``(c, integrality, bounds, constraints)``,
-    the arguments of :func:`scipy.optimize.milp`.
-
-    Columns are the linearized coefficients ``z`` within their box and one
-    binary ``e`` per condition (row order of :func:`_condition_matrix`).
-    Condition ``k`` gives the row ``A_k.z - T_k*e_k <= eps``, where ``T_k``
-    is the largest value ``A_k.z`` takes on the box, so ``e_k = 1`` releases
-    the row.  The factor-coupling rows follow.  The objective is ``sum(e)``.
-    """
-    return _milp_arrays(_exact_problem(data, opts), opts.epsilon)
 
 
 def _fewest_violations(

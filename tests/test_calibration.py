@@ -26,7 +26,6 @@ from divergelane import (
     FeasibilityError,
     FlowDistribution,
     bifurcating_cost,
-    build_milp,
     calibrate_exact,
     calibrate_search,
     check_uniqueness_condition,
@@ -47,11 +46,11 @@ from divergelane.calibration import (
     _exact_problem,
     _least_squares_start,
     _linear_rows,
+    _milp_arrays,
     _objectives,
     _products,
     _recover_parameters,
     _variable_space,
-    linearized_values,
 )
 from divergelane.model import SYMMETRIC_TIE, cost_gaps, residual_products, share_matrix
 
@@ -287,11 +286,14 @@ def box_coefficients(rng):
 
 
 class TestBuildMilp:
+    """The exact solver's MILP, as :func:`_milp_arrays` builds it."""
+
     def test_row_and_variable_counts(self):
         # 8 linearized coefficients and 12 binaries; 12 condition rows and
         # one coupling row per factor, 4.
         data = [equilibrium_point(CAL_VAL, q) for q in (0.4, 0.5, 0.6)]
-        c, integrality, bounds, constraints = build_milp(data, CalibrationOptions())
+        opts = CalibrationOptions()
+        c, integrality, bounds, constraints = _milp_arrays(_exact_problem(data, opts), opts.epsilon)
         assert c.shape == integrality.shape == bounds.lb.shape == bounds.ub.shape == (20,)
         assert constraints.A.shape == (16, 20)
         assert integrality.tolist() == [0] * 8 + [1] * 12
@@ -301,7 +303,8 @@ class TestBuildMilp:
 
     def test_symmetry_reduces_continuous_variables(self):
         data = [equilibrium_point(CAL_VAL, 0.5)]
-        c, integrality, _, constraints = build_milp(data, CalibrationOptions(symmetry=True))
+        opts = CalibrationOptions(symmetry=True)
+        c, integrality, _, constraints = _milp_arrays(_exact_problem(data, opts), opts.epsilon)
         assert c.shape == (4 + 4,)
         assert int(integrality.sum()) == 4
         assert constraints.A.shape == (4 + 2, 8)
@@ -316,7 +319,8 @@ class TestBuildMilp:
             data = NOISY_FIVE
         else:
             data = noisy_protocol_grid(sweep_vph=tuple(1150.0 + 12.5 * i for i in range(57)))
-        _, _, _, constraints = build_milp(data, CalibrationOptions(epsilon, symmetry=symmetry))
+        opts = CalibrationOptions(epsilon, symmetry=symmetry)
+        _, _, _, constraints = _milp_arrays(_exact_problem(data, opts), opts.epsilon)
         matrix = np.asarray(constraints.A)
         assert np.abs(matrix[matrix != 0]).min() > 1e-9
 
@@ -347,9 +351,10 @@ class TestBuildMilp:
         fixed = CostCoefficients(2.0, 2.0, 2.0, 0.8, 0.8, 0.3, 0.3, 1.5)
         for symmetry in (False, True):
             opts = CalibrationOptions(symmetry=symmetry)
-            _, _, _, constraints = build_milp(data, opts)
+            space = _variable_space(opts)
+            _, _, _, constraints = _milp_arrays(_exact_problem(data, opts), opts.epsilon)
             gap_rows = np.stack(
-                _linear_rows(cost_gaps, arrays, _variable_space(opts)), axis=1
+                _linear_rows(cost_gaps, arrays, space), axis=1
             ).reshape(2 * len(data), -1)
             for probe in [fixed] + [random_coefficients(rng) for _ in range(4)]:
                 if symmetry:
@@ -357,7 +362,10 @@ class TestBuildMilp:
                         probe.cf1, probe.cf1, probe.cf1, probe.lambda1, probe.lambda1,
                         probe.mu1, probe.mu1, probe.nu,
                     )
-                z = np.array(list(linearized_values(probe, symmetry).values()))
+                # Tied coefficients are equal, so each parameter takes its value.
+                theta = np.empty(len(space.names))
+                theta[list(space.tie)] = probe.as_tuple()
+                z = space.linearize(theta)
                 report = count_violations(probe, data, opts.epsilon)
                 products = constraints.A[: 4 * len(data), : z.size] @ z
                 np.testing.assert_allclose(products, report.products.ravel(), rtol=0, atol=1e-12)
@@ -395,6 +403,7 @@ class TestBuildMilp:
         rng = np.random.default_rng(61)
         for symmetry in (False, True):
             opts = CalibrationOptions(epsilon=1e-6, symmetry=symmetry)
+            space = _variable_space(opts)
             for _ in range(25):
                 truth = random_coefficients(rng)
                 q1 = float(rng.uniform(0.2, 0.8))
@@ -406,15 +415,16 @@ class TestBuildMilp:
                         probe.mu1, probe.mu1, probe.nu,
                     )
                 report = count_violations(probe, data, opts.epsilon)
-                _, _, bounds, constraints = build_milp(data, opts)
-                z = list(linearized_values(probe, symmetry).values())
-                x = np.array(z + [float(f) for f in np.ravel(report.flags)])
+                _, _, bounds, constraints = _milp_arrays(_exact_problem(data, opts), opts.epsilon)
+                theta = np.empty(len(space.names))
+                theta[list(space.tie)] = probe.as_tuple()
+                x = np.concatenate((space.linearize(theta), np.ravel(report.flags)))
                 assert np.all(bounds.lb <= x) and np.all(x <= bounds.ub)
                 assert np.all(constraints.A @ x <= constraints.ub + 1e-9)
 
 
 class TestPinnedMilp:
-    """:func:`build_milp`'s arrays and the least-squares start, byte for
+    """:func:`_milp_arrays`'s arrays and the least-squares start, byte for
     byte, on the benchmark's noisy set and its every-third subset at a
     margin of 1e-3.  The digests cover each array's C-ordered bytes, so a
     change in the last bit of a big-M or of a start shows here even where
@@ -437,7 +447,7 @@ class TestPinnedMilp:
     def test_bytes(self, grid, stride, symmetry, expected):
         data = grid[::stride]
         opts = CalibrationOptions(epsilon=1e-3, symmetry=symmetry)
-        c, integrality, bounds, constraints = build_milp(data, opts)
+        c, integrality, bounds, constraints = _milp_arrays(_exact_problem(data, opts), opts.epsilon)
         start = _least_squares_start(share_matrix(data), _variable_space(opts))
         digest = hashlib.sha256(b"no start" if start is None else b"")
         arrays = (c, integrality, bounds.lb, bounds.ub, constraints.A, constraints.ub)
@@ -506,7 +516,7 @@ def feasible_points(draw):
 
 
 class TestMilpFeasibleByConstruction:
-    """:func:`build_milp` has a feasible point for any data: every box point
+    """:func:`_milp_arrays` has a feasible point for any data: every box point
     with all its conditions released."""
 
     @settings(max_examples=200)
@@ -523,7 +533,7 @@ class TestMilpFeasibleByConstruction:
         space = _variable_space(opts)
         theta = space.lo + np.array(u[: len(space.names)]) * (space.hi - space.lo)
         theta = np.minimum(theta, space.hi)
-        _, _, bounds, constraints = build_milp(points, opts)
+        _, _, bounds, constraints = _milp_arrays(_exact_problem(points, opts), opts.epsilon)
         x = np.concatenate((space.linearize(theta), np.ones(4 * len(points))))
         assert np.all(bounds.lb <= x) and np.all(x <= bounds.ub)
         assert np.all(constraints.A @ x <= constraints.ub)
@@ -566,13 +576,21 @@ class TestSymmetryTie:
         assert c.lambda1 == c.lambda2 == theta[1]
         assert c.mu1 == c.mu2 == theta[2]
         assert c.nu == theta[3]
-        linear = linearized_values(c, symmetry=False)
-        assert linearized_values(c, symmetry=True) == {
-            "cf": linear["cf1"],
-            "cb_lambda": linear["cb_lambda1"],
-            "cb_mu": linear["cb_mu1"],
-            "nu": linear["nu"],
-        }
+        # Linearized, each parameter is its group's first coefficient.
+        linear = asym.linearize(np.array(c.as_tuple()))
+        assert np.array_equal(sym.linearize(theta), linear[first])
+
+
+class TestRateColumn:
+    """Asymmetric ``cb`` reaches the conditions only through the four factor
+    products, since ``lane_costs`` reads it only times a factor."""
+
+    @settings(max_examples=300)
+    @given(points=feasible_points())
+    def test_asymmetric_cb_column_is_zero(self, points):
+        space = _variable_space(CalibrationOptions())
+        conditions = _condition_matrix(share_matrix(points), space)
+        assert not conditions[:, space.rate].any()
 
 
 class TestSearchKernel:

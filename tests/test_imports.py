@@ -75,14 +75,14 @@ def test_cli_import_leaves_the_pool_unloaded():
 
 
 #: ``divergelane.__all__``: the names the package exported when it imported
-#: every layer eagerly.
+#: every layer eagerly, less ``build_milp``, which left the API.
 PUBLIC_NAMES = [
     "AuxiliaryAction", "BoundaryBranchError", "CalibrationOptions", "CalibrationResult",
     "ConfigurationError", "CostCoefficients", "DataPoint", "DemandConfig", "DivergeInstance",
     "EquilibriumReport", "FeasibilityError", "FlowDistribution", "ParseError",
     "SimulationConfig", "SolverOptions", "ViolationCount", "WardropResiduals",
-    "best_response", "best_response_slope", "bifurcating_cost", "build_milp",
-    "calibrate_exact", "calibrate_search", "check_uniqueness_condition", "count_violations",
+    "best_response", "best_response_slope", "bifurcating_cost", "calibrate_exact",
+    "calibrate_search", "check_uniqueness_condition", "count_violations",
     "feed_through_cost", "format_coefficients", "format_dataset", "generate_dataset",
     "is_wardrop_equilibrium", "lane_costs", "load_coefficients", "load_dataset",
     "nash_player_cost", "parse_coefficients", "parse_dataset", "simulate_steady_state",
