@@ -32,7 +32,9 @@ Two solvers share that encoding:
   once to its best one-step neighbour, and the search ends after the first
   sweep in which a restart violates no condition and meets the uniqueness
   condition.  It scores its moves as rows of the MILP's condition matrix.
-  Scalable to any size but only a heuristic certificate.
+  An untied ``cb``, which those rows read only times a factor, is never
+  stepped: each restart keeps its start's.  Scalable to any size but only a
+  heuristic certificate.
 """
 
 from __future__ import annotations
@@ -515,18 +517,24 @@ def _lockstep_refine(
 
     At each of ``_STEP_FRACTIONS`` of the box's span in turn, up to
     ``_MAX_SWEEPS`` sweeps run.  In a sweep each live row scores its moves,
-    one step up and one down each parameter (clipped to the box), and takes
-    the lexicographically best if it beats the row's objective, the first in
-    move order on ties; a row that takes none sits out until the next step
-    fraction.  One :func:`_objectives` call scores a sweep's moves of every
-    row.  The search ends after the first sweep in which a row reaches the
-    zero objective.
+    one step up and one down each stepped parameter (clipped to the box), and
+    takes the lexicographically best if it beats the row's objective, the
+    first in move order on ties; a row that takes none sits out until the
+    next step fraction.  One :func:`_objectives` call scores a sweep's moves
+    of every row.  The search ends after the first sweep in which a row
+    reaches the zero objective.
+
+    Every parameter is stepped except an untied ``cb`` (no symmetry: 14
+    moves a row instead of 16).  The conditions read it only times a factor,
+    so its condition column is zero and a step in it only rescales the four
+    factor products; each row keeps its start's ``cb``.
     """
     lo, hi = space.lo, space.hi
-    moves = np.arange(2 * lo.shape[0])
-    # Move j steps parameter j // 2 up (j even) or down.
-    directions = np.zeros((len(moves), lo.shape[0]))
-    directions[moves, moves // 2] = 1.0 - 2 * (moves % 2)
+    stepped = [j for j in range(len(lo)) if j != space.rate or space.tie.count(j) > 1]
+    # Move 2i steps parameter stepped[i] up, move 2i + 1 steps it down.
+    moves = np.arange(2 * len(stepped))
+    directions = np.zeros((len(moves), len(lo)))
+    directions[moves, np.repeat(stepped, 2)] = 1.0 - 2 * (moves % 2)
     theta = starts.copy()
     value = _objectives(theta, conditions, space, epsilon)
     if not value.any(axis=1).all():
@@ -560,10 +568,12 @@ def calibrate_search(
 
     Runs ``opts.restarts`` starts (one deterministic least-squares seed plus
     random box samples) through a steepest coordinate (compass) search, all
-    at once (:func:`_lockstep_refine`).  Returns the lowest-index restart at
-    the zero objective if the search reached it, and otherwise the least
-    (objective, coefficients), the lowest index on ties; deterministic for a
-    fixed seed and never worse than the best raw start point.
+    at once (:func:`_lockstep_refine`).  Without symmetry the search does
+    not step ``cb``, so each restart keeps its start's: the least-squares
+    seed's anchor, or a random start's draw.  Returns the lowest-index
+    restart at the zero objective if the search reached it, and otherwise the
+    least (objective, coefficients), the lowest index on ties; deterministic
+    for a fixed seed and never worse than the best raw start point.
     """
     if len(data) == 0:
         raise ValueError("data must be non-empty")

@@ -127,7 +127,10 @@ def reference_refine(theta, conditions, space, epsilon, *, sweeps=None):
     restart alone.  Returns its objective, its point, and when it reached
     the zero objective: ``(step fraction index, sweep)``, ``(-1, 0)`` at the
     start, or None.  ``sweeps``, if given, receives the number of sweeps run
-    at each step fraction before the zero objective."""
+    at each step fraction before the zero objective.
+
+    Without symmetry ``cb`` is a parameter of its own, named ``cb``, which
+    the search never steps: it keeps the start's value."""
     theta = theta.copy()
     value = reference_objective(theta, conditions, space, epsilon)
     if value == (0, 0.0, 0.0):
@@ -138,6 +141,8 @@ def reference_refine(theta, conditions, space, epsilon, *, sweeps=None):
         for sweep in range(40):
             best = None
             for dim in range(theta.shape[0]):
+                if space.names[dim] == "cb":
+                    continue
                 for direction in (1.0, -1.0):
                     trial = theta.copy()
                     step = fraction * span[dim]
@@ -591,6 +596,29 @@ class TestRateColumn:
         space = _variable_space(CalibrationOptions())
         conditions = _condition_matrix(share_matrix(points), space)
         assert not conditions[:, space.rate].any()
+
+    @settings(max_examples=200)
+    @given(
+        points=feasible_points(),
+        u=st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8), min_size=1, max_size=4),
+        epsilon=st.sampled_from((1e-4, 1e-2)),
+    )
+    def test_asymmetric_search_keeps_each_start_cb(self, points, u, epsilon):
+        space = _variable_space(CalibrationOptions())
+        starts = np.minimum(space.lo + np.array(u) * (space.hi - space.lo), space.hi)
+        conditions = _condition_matrix(share_matrix(points), space)
+        thetas, _ = calibration._lockstep_refine(starts, conditions, space, epsilon)
+        assert thetas[:, space.rate].tobytes() == starts[:, space.rate].tobytes()
+
+    def test_symmetric_search_steps_the_tied_rate(self):
+        # Under the tie cb is cf, whose column is not zero.
+        data = noisy_protocol_grid()
+        opts = CalibrationOptions(epsilon=1e-3, symmetry=True, restarts=10)
+        space = _variable_space(opts)
+        starts = np.array(reference_starts(data, opts))
+        conditions = _condition_matrix(share_matrix(data), space)
+        thetas, _ = calibration._lockstep_refine(starts, conditions, space, opts.epsilon)
+        assert (thetas[:, space.rate] != starts[:, space.rate]).any()
 
 
 class TestSearchKernel:
@@ -1203,16 +1231,24 @@ class TestLongChain:
 
     def test_one_row_blocks_change_nothing(self, monkeypatch, data):
         # At the default block size both the rows below and the first sweep
-        # of the search (20 restarts, 16 moves each) span several blocks.
+        # of the search (20 restarts, 14 moves each) span more than one block.
         opts = CalibrationOptions(epsilon=1e-3, restarts=20)
         space = _variable_space(opts)
         conditions = _condition_matrix(share_matrix(data), space)
         rng = np.random.default_rng(5)
         theta = space.lo + rng.random((1000, len(space.lo))) * (space.hi - space.lo)
-        per_block = calibration._BLOCK_PRODUCTS // (4 * len(data))
-        assert per_block < min(len(theta), opts.restarts * 2 * len(space.lo))
         expected = _objectives(theta, conditions, space, opts.epsilon)
+        scored = []
+
+        def recording(rows, *args):
+            scored.append(len(rows))
+            return _objectives(rows, *args)
+
+        monkeypatch.setattr(calibration, "_objectives", recording)
         fit = calibrate_search(data, opts)
+        # Call 0 scores the starts, call 1 the first sweep's moves.
+        per_block = calibration._BLOCK_PRODUCTS // (4 * len(data))
+        assert per_block < min(len(theta), scored[1])
         monkeypatch.setattr(calibration, "_BLOCK_PRODUCTS", 1)
         assert np.array_equal(_objectives(theta, conditions, space, opts.epsilon), expected)
         assert calibrate_search(data, opts) == fit
@@ -1221,7 +1257,7 @@ class TestLongChain:
     def test_batched_calls_capped(self, monkeypatch, data, symmetry, before):
         # ``before``: the batched objective calls of the lockstep search that
         # looked ahead only to the end of each sweep.  The steepest search
-        # makes one batched call per sweep (396 and 384 here), so the cap of
+        # makes one batched call per sweep (396 and 390 here), so the cap of
         # 0.6 times as many (1,155 and 772) bounds its total sweeps.
         calls = 0
         objectives = calibration._objectives

@@ -989,7 +989,7 @@ class TestPinnedBytes:
         "symmetry, digest",
         [
             (True, "bf85f1b3f1ec2fe152d5ecff185aa0967eb58fece79c357843dd2514ea682323"),
-            (False, "9f0f02fda0321b10a90816a25bc916a505f0cef5c79899fb7971797b2f05ff70"),
+            (False, "ee23fa5ace8622e6dd0a1e652ca92627879ff55166ab4758e394fc967d675f92"),
         ],
         ids=["symmetric", "asymmetric"],
     )
