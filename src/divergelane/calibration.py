@@ -424,36 +424,58 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
 _BLOCK_PRODUCTS = 2**14
 
 
-def _products(theta: np.ndarray, conditions: np.ndarray, space: _VariableSpace) -> np.ndarray:
+def _products(
+    theta: np.ndarray,
+    conditions: np.ndarray,
+    space: _VariableSpace,
+    linear: np.ndarray | None = None,
+) -> np.ndarray:
     """Residual products of each row of ``theta``, ``(M, 4K)``: its linearized
-    values dotted with the rows of :func:`_condition_matrix`, by an ``einsum`` on
-    their contiguous transpose.  The einsum adds each product's terms in
-    column order with no fused multiply-add, so a row rounds alone, whatever
-    block it is scored in (BLAS rounds by M)."""
-    return np.einsum("mj,jk->mk", space.linearize(theta), np.ascontiguousarray(conditions.T))
+    values ``linear`` (by default ``space.linearize(theta)``) dotted with the
+    rows of ``conditions``, by an ``einsum`` on their contiguous transpose.
+    The einsum adds each product's terms in column order from +0.0 with no
+    fused multiply-add, so a row rounds alone, whatever block it is scored in
+    (BLAS rounds by M).  The search passes only the columns of
+    :func:`_condition_matrix` that are not all zero, and the values in them:
+    a dropped column's terms are zeros, which leave every partial sum as it
+    is, so the products are the same bits."""
+    if linear is None:
+        linear = space.linearize(theta)
+    return np.einsum("mj,jk->mk", linear, np.ascontiguousarray(conditions.T))
 
 
-def _objectives(theta: np.ndarray, conditions: np.ndarray, space: _VariableSpace, epsilon: float):
+def _objectives(
+    theta: np.ndarray,
+    conditions: np.ndarray,
+    space: _VariableSpace,
+    epsilon: float,
+    linear: np.ndarray | None = None,
+):
     """Lexicographic search objective of each row of ``theta``, ``(M, 3)``.
 
     Primary: violation count.  Secondary: summed positive parts of the
-    violated products, rows of the MILP's condition matrix (:func:`_products`).
-    Tertiary: uniqueness deficit, so that among otherwise equivalent fits the
-    solver prefers one certified unique.  No row depends on another.
+    violated products, rows of the MILP's condition matrix (:func:`_products`,
+    which reads ``linear`` too).  Tertiary: uniqueness deficit, so that among
+    otherwise equivalent fits the solver prefers one certified unique.  No
+    row depends on another.
 
-    A block builds only its products ``P`` and its flags: the count adds the
-    flags in ``intp``, and the secondary zeroes the unflagged products in
-    place before the row sum.  A negative product becomes -0.0, which sums,
-    sorts and tests as 0.0, so both equal ``(P > epsilon).sum(1)`` and
+    A block builds only its products ``P`` and its flags, as 0/1 floats: the
+    count adds the flags, exactly in any order, and the secondary zeroes the
+    unflagged products in place with one float multiply before the row sum.
+    A negative product becomes -0.0, which sums, sorts and tests as 0.0, so
+    both equal ``(P > epsilon).sum(1)`` and
     ``np.where(P > epsilon, P, 0.0).sum(1)``.
     """
     rows = max(1, _BLOCK_PRODUCTS // len(conditions))
     out = np.empty((len(theta), 3))
     for first in range(0, len(theta), rows):
-        products = _products(theta[first:first + rows], conditions, space)
-        flags = products > epsilon
-        out[first:first + rows, 0] = np.add.reduce(flags, axis=1, dtype=np.intp)
-        out[first:first + rows, 1] = np.multiply(products, flags, out=products).sum(axis=1)
+        block = slice(first, first + rows)
+        products = _products(
+            theta[block], conditions, space, None if linear is None else linear[block]
+        )
+        flags = (products > epsilon).astype(float)
+        out[block, 0] = np.einsum("mk->m", flags)
+        out[block, 1] = np.multiply(products, flags, out=products).sum(axis=1)
     c = _Columns(*(theta[:, j] for j in space.tie))
     out[:, 2] = np.maximum(0.0, -np.minimum(*uniqueness_margins(c)))
     return out
@@ -509,6 +531,59 @@ _STEP_FRACTIONS = (
 _MAX_SWEEPS = 40
 
 
+#: A search's moves, built once per search by :func:`_moves`.  Move m steps
+#: parameter ``param[m]`` by ``sign[m]`` times the step, and ``keep`` lists the
+#: condition columns that are not all zero.  When no move steps the rate,
+#: ``written`` lists the moves whose parameter has a kept column, ``column``
+#: that column's place in ``keep`` and ``factor`` whether the parameter is a
+#: factor; when one does, all three are None.
+_Moves = namedtuple("_Moves", "param sign keep written column factor")
+
+
+def _moves(space: _VariableSpace, conditions: np.ndarray) -> _Moves:
+    """The moves of a search of ``space`` on condition matrix ``conditions``:
+    one step up and one down each parameter except an untied ``cb``."""
+    stepped = [j for j in range(len(space.lo)) if j != space.rate or space.tie.count(j) > 1]
+    # Move 2i steps parameter stepped[i] up, move 2i + 1 steps it down.
+    param = np.repeat(stepped, 2)
+    sign = np.tile((1.0, -1.0), len(stepped))
+    keep = np.flatnonzero(conditions.any(axis=0))
+    if space.rate in stepped:
+        return _Moves(param, sign, keep, None, None, None)
+    written = np.flatnonzero(np.isin(param, keep))
+    column = np.searchsorted(keep, param[written])
+    return _Moves(param, sign, keep, written, column, space.factor[param[written]])
+
+
+def _moved_rows(
+    base: np.ndarray, step: np.ndarray, moves: _Moves, space: _VariableSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The moves of rows ``base``: their trials, ``(L, M, n)``, and the
+    trials' linearized values in the condition columns ``moves.keep``.
+
+    Move m adds ``step[m]`` to parameter ``moves.param[m]`` and clips it to
+    the box.  A trial copies every other coordinate of its base row: that
+    lies inside the box already, so the clip of every coordinate,
+    ``np.minimum(np.maximum(base[:, None] + steps, lo), hi)``, leaves it as it
+    is.  When no move steps the rate, the linearized values are the base
+    row's with only the moved column written: the value times ``cb`` for a
+    factor, the value itself otherwise.  Else ``space.linearize`` builds them.
+    """
+    param, keep = moves.param, moves.keep
+    value = np.minimum(np.maximum(base[:, param] + step, space.lo[param]), space.hi[param])
+    trials = np.repeat(base[:, None], len(param), axis=1)
+    trials[:, np.arange(len(param)), param] = value
+    if moves.written is None:
+        linear = space.linearize(trials)
+        return trials, linear if len(keep) == linear.shape[-1] else linear[..., keep]
+    linear = np.repeat(space.linearize(base)[:, None, keep], len(param), axis=1)
+    value = value[:, moves.written]
+    linear[:, moves.written, moves.column] = np.where(
+        moves.factor, value * base[:, [space.rate]], value
+    )
+    return trials, linear
+
+
 def _lockstep_refine(
     starts: np.ndarray, conditions: np.ndarray, space: _VariableSpace, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -521,31 +596,32 @@ def _lockstep_refine(
     takes the lexicographically best if it beats the row's objective, the
     first in move order on ties; a row that takes none sits out until the
     next step fraction.  One :func:`_objectives` call scores a sweep's moves
-    of every row.  The search ends after the first sweep in which a row
-    reaches the zero objective.
+    of every row, built from the rows by :func:`_moved_rows`, on only the
+    condition columns that are not all zero.  The search ends after the first
+    sweep in which a row reaches the zero objective.
 
     Every parameter is stepped except an untied ``cb`` (no symmetry: 14
     moves a row instead of 16).  The conditions read it only times a factor,
     so its condition column is zero and a step in it only rescales the four
-    factor products; each row keeps its start's ``cb``.
+    factor products; each row keeps its start's ``cb``.  The starts must lie
+    inside the box.
     """
     lo, hi = space.lo, space.hi
-    stepped = [j for j in range(len(lo)) if j != space.rate or space.tie.count(j) > 1]
-    # Move 2i steps parameter stepped[i] up, move 2i + 1 steps it down.
-    moves = np.arange(2 * len(stepped))
-    directions = np.zeros((len(moves), len(lo)))
-    directions[moves, np.repeat(stepped, 2)] = 1.0 - 2 * (moves % 2)
+    moves = _moves(space, conditions)
+    conditions = conditions[:, moves.keep]
     theta = starts.copy()
-    value = _objectives(theta, conditions, space, epsilon)
+    value = _objectives(theta, conditions, space, epsilon, space.linearize(theta)[:, moves.keep])
     if not value.any(axis=1).all():
         return theta, value
     for fraction in _STEP_FRACTIONS:
-        step = directions * (fraction * (hi - lo))
+        step = moves.sign * (fraction * (hi - lo))[moves.param]
         live = np.arange(len(theta))
         for _ in range(_MAX_SWEEPS):
-            # The same values as np.clip, without its Python wrapper.
-            trials = np.minimum(np.maximum(theta[live, None] + step, lo), hi)
-            scores = _objectives(trials.reshape(-1, lo.shape[0]), conditions, space, epsilon)
+            trials, linear = _moved_rows(theta[live], step, moves, space)
+            scores = _objectives(
+                trials.reshape(-1, len(lo)), conditions, space, epsilon,
+                linear.reshape(-1, len(moves.keep)),
+            )
             # Each row's own point stands first, so a stable sort keeps it
             # unless a move beats it, and keeps the first of tied moves.
             candidates = np.concatenate((value[live, None], scores.reshape(len(live), -1, 3)), 1)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning, linprog
 
@@ -47,6 +47,8 @@ from divergelane.calibration import (
     _least_squares_start,
     _linear_rows,
     _milp_arrays,
+    _moved_rows,
+    _moves,
     _objectives,
     _products,
     _recover_parameters,
@@ -722,6 +724,57 @@ class TestSearchKernel:
             assert np.array_equal(value[:, 0], count)
             assert np.array_equal(value[:, 1], positive)
             assert not value[0, :2].any()
+
+    # One point with no bifurcating flow on link 2: nu's condition column is
+    # zero in both symmetries, and three more are without symmetry.
+    ONE_SIDED = [
+        DataPoint(
+            DemandConfig(0.6, 0.4),
+            FlowDistribution.from_bifurcating_shares(DemandConfig(0.6, 0.4), 0.35, 0.0),
+        )
+    ]
+
+    @settings(max_examples=300)
+    @given(
+        points=feasible_points(),
+        symmetry=st.booleans(),
+        u=st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8), min_size=1, max_size=4),
+        fraction=st.sampled_from(_STEP_FRACTIONS),
+        epsilon=st.sampled_from((0.0, 1e-6, 1e-3, 1e-2)),
+    )
+    @example(points=ONE_SIDED, symmetry=True, u=[[0.5] * 8], fraction=0.25, epsilon=0.0)
+    @example(points=ONE_SIDED, symmetry=False, u=[[0.0] * 8, [1.0] * 8], fraction=0.25, epsilon=0.0)
+    def test_base_row_moves_equal_the_full_rows(self, points, symmetry, u, fraction, epsilon):
+        # The search builds each move from its base row and scores it on the
+        # condition columns that are not all zero; every step must give the
+        # same bits as the clip of every coordinate, the full linearization
+        # and the all-column products.
+        space = _variable_space(CalibrationOptions(symmetry=symmetry))
+        theta = space.lo + np.array(u)[:, : len(space.names)] * (space.hi - space.lo)
+        theta = np.minimum(theta, space.hi)
+        conditions = _condition_matrix(share_matrix(points), space)
+        everything = _moves(space, np.ones_like(conditions))
+        moves = _moves(space, conditions)
+        assert np.array_equal(moves.keep, np.flatnonzero(conditions.any(axis=0)))
+        step = moves.sign * (fraction * (space.hi - space.lo))[moves.param]
+        steps = np.zeros((len(step), len(space.names)))
+        steps[np.arange(len(step)), moves.param] = step
+        full = np.minimum(np.maximum(theta[:, None] + steps, space.lo), space.hi)
+
+        trials, linear = _moved_rows(theta, step, everything, space)
+        assert trials.tobytes() == full.tobytes()
+        assert linear.tobytes() == space.linearize(full).tobytes()
+        trials, linear = _moved_rows(theta, step, moves, space)
+        assert trials.tobytes() == full.tobytes()
+        assert linear.tobytes() == space.linearize(full)[..., moves.keep].tobytes()
+
+        rows = full.reshape(-1, len(space.names))
+        linear = linear.reshape(-1, len(moves.keep))
+        kept = conditions[:, moves.keep]
+        products = _products(rows, kept, space, linear)
+        assert products.tobytes() == _products(rows, conditions, space).tobytes()
+        value = _objectives(rows, kept, space, epsilon, linear)
+        assert np.array_equal(value, _objectives(rows, conditions, space, epsilon))
 
 
 class TestDefaultBox:
