@@ -31,10 +31,11 @@ Two solvers share that encoding:
   (compass) search, with no pattern move: each sweep moves every restart at
   once to its best one-step neighbour, and the search ends after the first
   sweep in which a restart violates no condition and meets the uniqueness
-  condition.  It scores its moves as rows of the MILP's condition matrix.
-  An untied ``cb``, which those rows read only times a factor, is never
-  stepped: each restart keeps its start's.  Scalable to any size but only a
-  heuristic certificate.
+  condition.  It steps the parameters the costs read on their own, every
+  one but an untied ``cb`` (``_VariableSpace.read``), and scores its moves
+  on their columns of the MILP's condition matrix; an untied ``cb``, which
+  those rows read only times a factor, keeps each restart's start value.
+  Scalable to any size but only a heuristic certificate.
 """
 
 from __future__ import annotations
@@ -193,6 +194,12 @@ class _VariableSpace:
     def rate(self) -> int:
         """The parameter of ``cb``, the rate of every factor product."""
         return self.tie[_CB]
+
+    @property
+    def read(self) -> list[int]:
+        """The parameters the costs read on their own: every one but an
+        untied ``cb``, which they read only times a factor."""
+        return sorted({j for k, j in enumerate(self.tie) if k != _CB})
 
     def coefficients(self, theta: np.ndarray) -> CostCoefficients:
         """The coefficients of parameter values ``theta``."""
@@ -424,40 +431,32 @@ def calibrate_exact(data: Sequence[DataPoint], opts: CalibrationOptions) -> Cali
 _BLOCK_PRODUCTS = 2**14
 
 
-def _products(
-    theta: np.ndarray,
-    conditions: np.ndarray,
-    space: _VariableSpace,
-    linear: np.ndarray | None = None,
-) -> np.ndarray:
-    """Residual products of each row of ``theta``, ``(M, 4K)``: its linearized
-    values ``linear`` (by default ``space.linearize(theta)``) dotted with the
-    rows of ``conditions``, by an ``einsum`` on their contiguous transpose.
-    The einsum adds each product's terms in column order from +0.0 with no
-    fused multiply-add, so a row rounds alone, whatever block it is scored in
-    (BLAS rounds by M).  The search passes only the columns of
-    :func:`_condition_matrix` that are not all zero, and the values in them:
-    a dropped column's terms are zeros, which leave every partial sum as it
-    is, so the products are the same bits."""
-    if linear is None:
-        linear = space.linearize(theta)
+def _products(linear: np.ndarray, conditions: np.ndarray) -> np.ndarray:
+    """Residual products of linearized rows ``linear``, ``(M, 4K)``: each
+    dotted with the rows of ``conditions``, by an ``einsum`` on their
+    contiguous transpose.  The einsum adds each product's terms in column
+    order from +0.0 with no fused multiply-add, so a row rounds alone,
+    whatever block it is scored in (BLAS rounds by M).  The search passes
+    only the columns of ``space.read``: every other column of
+    :func:`_condition_matrix` is zero, and its zero terms would leave every
+    partial sum as it is, so the products are the same bits."""
     return np.einsum("mj,jk->mk", linear, np.ascontiguousarray(conditions.T))
 
 
 def _objectives(
     theta: np.ndarray,
+    linear: np.ndarray,
     conditions: np.ndarray,
     space: _VariableSpace,
     epsilon: float,
-    linear: np.ndarray | None = None,
 ):
-    """Lexicographic search objective of each row of ``theta``, ``(M, 3)``.
+    """Lexicographic search objective of each row of ``theta``, ``(M, 3)``,
+    whose linearized values are the rows of ``linear``.
 
     Primary: violation count.  Secondary: summed positive parts of the
-    violated products, rows of the MILP's condition matrix (:func:`_products`,
-    which reads ``linear`` too).  Tertiary: uniqueness deficit, so that among
-    otherwise equivalent fits the solver prefers one certified unique.  No
-    row depends on another.
+    violated products, rows of the MILP's condition matrix (:func:`_products`).
+    Tertiary: uniqueness deficit, so that among otherwise equivalent fits the
+    solver prefers one certified unique.  No row depends on another.
 
     A block builds only its products ``P`` and its flags, as 0/1 floats: the
     count adds the flags, exactly in any order, and the secondary zeroes the
@@ -470,9 +469,7 @@ def _objectives(
     out = np.empty((len(theta), 3))
     for first in range(0, len(theta), rows):
         block = slice(first, first + rows)
-        products = _products(
-            theta[block], conditions, space, None if linear is None else linear[block]
-        )
+        products = _products(linear[block], conditions)
         flags = (products > epsilon).astype(float)
         out[block, 0] = np.einsum("mk->m", flags)
         out[block, 1] = np.multiply(products, flags, out=products).sum(axis=1)
@@ -495,10 +492,12 @@ def _least_squares_start(a: np.ndarray, space: _VariableSpace) -> np.ndarray | N
         return None
     matrix = np.stack(_linear_rows(cost_gaps, a, space), axis=1)[interior]
     # An untied cb appears in no gap row (only through the products), so
-    # drop its column and anchor it at the mean feed rate afterwards.
-    fitted = sorted({j for k, j in enumerate(space.tie) if k != _CB})
-    if len(fitted) < len(space.names):
-        matrix = matrix[:, fitted]
+    # drop its column and anchor it at the mean feed rate afterwards.  Copy
+    # only then: a copy of every column comes out Fortran-ordered, which
+    # np.linalg.norm sums in another order.
+    read = space.read
+    if len(read) < len(space.names):
+        matrix = matrix[:, read]
     # Ridge-anchored least squares: the nearest near-null direction to an
     # all-ones anchor, which keeps underdetermined fits positive.
     d = matrix.shape[1]
@@ -509,7 +508,7 @@ def _least_squares_start(a: np.ndarray, space: _VariableSpace) -> np.ndarray | N
     if v[0] < 0:
         v = -v
     theta = np.zeros(len(space.names))
-    theta[fitted] = v
+    theta[read] = v
     f1, f2 = space.tie[:2]  # the feed rates' parameters
     theta[space.rate] = 0.5 * (theta[f1] + theta[f2])
     rates = ~space.factor
@@ -531,59 +530,6 @@ _STEP_FRACTIONS = (
 _MAX_SWEEPS = 40
 
 
-#: A search's moves, built once per search by :func:`_moves`.  Move m steps
-#: parameter ``param[m]`` by ``sign[m]`` times the step, and ``keep`` lists the
-#: condition columns that are not all zero.  When no move steps the rate,
-#: ``written`` lists the moves whose parameter has a kept column, ``column``
-#: that column's place in ``keep`` and ``factor`` whether the parameter is a
-#: factor; when one does, all three are None.
-_Moves = namedtuple("_Moves", "param sign keep written column factor")
-
-
-def _moves(space: _VariableSpace, conditions: np.ndarray) -> _Moves:
-    """The moves of a search of ``space`` on condition matrix ``conditions``:
-    one step up and one down each parameter except an untied ``cb``."""
-    stepped = [j for j in range(len(space.lo)) if j != space.rate or space.tie.count(j) > 1]
-    # Move 2i steps parameter stepped[i] up, move 2i + 1 steps it down.
-    param = np.repeat(stepped, 2)
-    sign = np.tile((1.0, -1.0), len(stepped))
-    keep = np.flatnonzero(conditions.any(axis=0))
-    if space.rate in stepped:
-        return _Moves(param, sign, keep, None, None, None)
-    written = np.flatnonzero(np.isin(param, keep))
-    column = np.searchsorted(keep, param[written])
-    return _Moves(param, sign, keep, written, column, space.factor[param[written]])
-
-
-def _moved_rows(
-    base: np.ndarray, step: np.ndarray, moves: _Moves, space: _VariableSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The moves of rows ``base``: their trials, ``(L, M, n)``, and the
-    trials' linearized values in the condition columns ``moves.keep``.
-
-    Move m adds ``step[m]`` to parameter ``moves.param[m]`` and clips it to
-    the box.  A trial copies every other coordinate of its base row: that
-    lies inside the box already, so the clip of every coordinate,
-    ``np.minimum(np.maximum(base[:, None] + steps, lo), hi)``, leaves it as it
-    is.  When no move steps the rate, the linearized values are the base
-    row's with only the moved column written: the value times ``cb`` for a
-    factor, the value itself otherwise.  Else ``space.linearize`` builds them.
-    """
-    param, keep = moves.param, moves.keep
-    value = np.minimum(np.maximum(base[:, param] + step, space.lo[param]), space.hi[param])
-    trials = np.repeat(base[:, None], len(param), axis=1)
-    trials[:, np.arange(len(param)), param] = value
-    if moves.written is None:
-        linear = space.linearize(trials)
-        return trials, linear if len(keep) == linear.shape[-1] else linear[..., keep]
-    linear = np.repeat(space.linearize(base)[:, None, keep], len(param), axis=1)
-    value = value[:, moves.written]
-    linear[:, moves.written, moves.column] = np.where(
-        moves.factor, value * base[:, [space.rate]], value
-    )
-    return trials, linear
-
-
 def _lockstep_refine(
     starts: np.ndarray, conditions: np.ndarray, space: _VariableSpace, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -592,35 +538,45 @@ def _lockstep_refine(
 
     At each of ``_STEP_FRACTIONS`` of the box's span in turn, up to
     ``_MAX_SWEEPS`` sweeps run.  In a sweep each live row scores its moves,
-    one step up and one down each stepped parameter (clipped to the box), and
-    takes the lexicographically best if it beats the row's objective, the
-    first in move order on ties; a row that takes none sits out until the
-    next step fraction.  One :func:`_objectives` call scores a sweep's moves
-    of every row, built from the rows by :func:`_moved_rows`, on only the
-    condition columns that are not all zero.  The search ends after the first
-    sweep in which a row reaches the zero objective.
+    one step up and one down each parameter of ``space.read`` (clipped to the
+    box), and takes the lexicographically best if it beats the row's
+    objective, the first in move order on ties; a row that takes none sits
+    out until the next step fraction.  The search ends after the first sweep
+    in which a row reaches the zero objective.
 
-    Every parameter is stepped except an untied ``cb`` (no symmetry: 14
-    moves a row instead of 16).  The conditions read it only times a factor,
-    so its condition column is zero and a step in it only rescales the four
-    factor products; each row keeps its start's ``cb``.  The starts must lie
-    inside the box.
+    One :func:`_objectives` call scores a sweep's moves of every row.  A trial
+    copies its base row and writes the stepped coordinate, clipped: the
+    others lie inside the box already, as the starts must.  Its linearized
+    values are its ``space.read`` coordinates, each factor's times the
+    trial's own rate, scored on those condition columns only.  An untied
+    ``cb`` (no symmetry: 14 moves a row instead of 16) is never stepped: the
+    conditions read it only times a factor, so each row keeps its start's.
     """
     lo, hi = space.lo, space.hi
-    moves = _moves(space, conditions)
-    conditions = conditions[:, moves.keep]
+    read = space.read
+    factor = space.factor[read]
+    # Move 2i steps parameter read[i] up, move 2i + 1 steps it down.
+    param = np.repeat(read, 2)
+    sign = np.tile((1.0, -1.0), len(read))
+    moves = np.arange(len(param))
+    conditions = conditions[:, read]
     theta = starts.copy()
-    value = _objectives(theta, conditions, space, epsilon, space.linearize(theta)[:, moves.keep])
+    value = _objectives(theta, space.linearize(theta)[:, read], conditions, space, epsilon)
     if not value.any(axis=1).all():
         return theta, value
     for fraction in _STEP_FRACTIONS:
-        step = moves.sign * (fraction * (hi - lo))[moves.param]
+        step = sign * (fraction * (hi - lo))[param]
         live = np.arange(len(theta))
         for _ in range(_MAX_SWEEPS):
-            trials, linear = _moved_rows(theta[live], step, moves, space)
+            base = theta[live]
+            trials = np.repeat(base[:, None], len(param), axis=1)
+            stepped = base[:, param] + step
+            trials[:, moves, param] = np.minimum(np.maximum(stepped, lo[param]), hi[param])
+            linear = trials[..., read]
+            linear[..., factor] *= trials[..., space.rate, None]
             scores = _objectives(
-                trials.reshape(-1, len(lo)), conditions, space, epsilon,
-                linear.reshape(-1, len(moves.keep)),
+                trials.reshape(-1, len(lo)), linear.reshape(-1, len(read)),
+                conditions, space, epsilon,
             )
             # Each row's own point stands first, so a stable sort keeps it
             # unless a move beats it, and keeps the first of tied moves.

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,8 +48,6 @@ from divergelane.calibration import (
     _least_squares_start,
     _linear_rows,
     _milp_arrays,
-    _moved_rows,
-    _moves,
     _objectives,
     _products,
     _recover_parameters,
@@ -117,10 +116,17 @@ def noisy_point(rng, truth, sd):
     return DataPoint(demand=point.demand, flow=flow)
 
 
+def all_column_objectives(theta, conditions, space, epsilon):
+    """The batched search objective of rows ``theta`` on every condition
+    column, each row linearized by ``space.linearize``."""
+    return _objectives(theta, space.linearize(theta), conditions, space, epsilon)
+
+
 def reference_objective(theta, conditions, space, epsilon):
     """The search objective of one parameter vector, scored alone through
     the batched objective."""
-    count, positive, deficit = _objectives(theta[None, :], conditions, space, epsilon)[0].tolist()
+    value = all_column_objectives(theta[None, :], conditions, space, epsilon)
+    count, positive, deficit = value[0].tolist()
     return (int(count), positive, deficit)
 
 
@@ -612,6 +618,18 @@ class TestRateColumn:
         thetas, _ = calibration._lockstep_refine(starts, conditions, space, epsilon)
         assert thetas[:, space.rate].tobytes() == starts[:, space.rate].tobytes()
 
+    @settings(max_examples=300)
+    @given(points=feasible_points(), symmetry=st.booleans())
+    def test_costs_read_only_the_read_parameters(self, points, symmetry):
+        # The search steps and scores only space.read: every parameter but
+        # the one named cb, as reference_refine steps them.
+        space = _variable_space(CalibrationOptions(symmetry=symmetry))
+        assert space.read == [j for j, name in enumerate(space.names) if name != "cb"]
+        unread = np.setdiff1d(np.arange(len(space.names)), space.read)
+        arrays = share_matrix(points)
+        assert not _condition_matrix(arrays, space)[:, unread].any()
+        assert not np.stack(_linear_rows(cost_gaps, arrays, space))[..., unread].any()
+
     def test_symmetric_search_steps_the_tied_rate(self):
         # Under the tie cb is cf, whose column is not zero.
         data = noisy_protocol_grid()
@@ -640,8 +658,8 @@ class TestSearchKernel:
         theta = np.minimum(theta, space.hi)
         arrays = share_matrix(points)
         conditions = _condition_matrix(arrays, space)
-        products = _products(theta, conditions, space)
-        counts = _objectives(theta, conditions, space, epsilon)[:, 0]
+        products = _products(space.linearize(theta), conditions)
+        counts = all_column_objectives(theta, conditions, space, epsilon)[:, 0]
         for row, actual, count in zip(theta, products, counts):
             c = space.coefficients(row)
             expected = np.stack(residual_products(c, *arrays), -1).ravel()
@@ -668,16 +686,17 @@ class TestSearchKernel:
         mixed[at] = rows
         mixed[np.setdiff1d(np.arange(len(mixed)), at)] = others
         assert len(mixed) > 4 * (calibration._BLOCK_PRODUCTS // len(conditions))
-        expected = _objectives(rows, conditions, space, 1e-3)
-        alone = [_objectives(row[None, :], conditions, space, 1e-3)[0] for row in rows]
+        expected = all_column_objectives(rows, conditions, space, 1e-3)
+        alone = [all_column_objectives(row[None, :], conditions, space, 1e-3)[0] for row in rows]
         assert np.array_equal(np.array(alone), expected)
-        assert np.array_equal(_objectives(rows[::-1], conditions, space, 1e-3)[::-1], expected)
-        assert np.array_equal(_objectives(mixed, conditions, space, 1e-3)[at], expected)
+        reverse = all_column_objectives(rows[::-1], conditions, space, 1e-3)
+        assert np.array_equal(reverse[::-1], expected)
+        assert np.array_equal(all_column_objectives(mixed, conditions, space, 1e-3)[at], expected)
 
     @staticmethod
     def plain_objectives(theta, conditions, space, epsilon):
         """The count and the summed violated products, written plainly."""
-        products = _products(theta, conditions, space)
+        products = _products(space.linearize(theta), conditions)
         flags = products > epsilon
         return flags.sum(axis=1), np.where(flags, products, 0.0).sum(axis=1)
 
@@ -695,7 +714,7 @@ class TestSearchKernel:
         theta = np.minimum(theta, space.hi)
         conditions = _condition_matrix(share_matrix(points), space)
         count, positive = self.plain_objectives(theta, conditions, space, epsilon)
-        value = _objectives(theta, conditions, space, epsilon)
+        value = all_column_objectives(theta, conditions, space, epsilon)
         assert np.array_equal(value[:, 0], count)
         assert np.array_equal(value[:, 1], positive)
 
@@ -715,18 +734,19 @@ class TestSearchKernel:
         rng = np.random.default_rng(3)
         rows = space.lo + rng.random((200, len(space.names))) * (space.hi - space.lo)
         theta = np.vstack((truth, rows))
-        assert (_products(theta, conditions, space) < 0.0).any(axis=1).all()
+        assert (_products(space.linearize(theta), conditions) < 0.0).any(axis=1).all()
         for epsilon in (1e-6, 1e-3):
             count, positive = self.plain_objectives(theta, conditions, space, epsilon)
             assert count[0] == 0 and count.max() > 255
             assert not np.array_equal(count.astype(np.uint8), count)
-            value = _objectives(theta, conditions, space, epsilon)
+            value = all_column_objectives(theta, conditions, space, epsilon)
             assert np.array_equal(value[:, 0], count)
             assert np.array_equal(value[:, 1], positive)
             assert not value[0, :2].any()
 
     # One point with no bifurcating flow on link 2: nu's condition column is
-    # zero in both symmetries, and three more are without symmetry.
+    # zero in both symmetries, and three more are without symmetry.  The
+    # search scores nu's all the same, since the costs read nu.
     ONE_SIDED = [
         DataPoint(
             DemandConfig(0.6, 0.4),
@@ -746,35 +766,45 @@ class TestSearchKernel:
     @example(points=ONE_SIDED, symmetry=False, u=[[0.0] * 8, [1.0] * 8], fraction=0.25, epsilon=0.0)
     def test_base_row_moves_equal_the_full_rows(self, points, symmetry, u, fraction, epsilon):
         # The search builds each move from its base row and scores it on the
-        # condition columns that are not all zero; every step must give the
+        # condition columns of the read parameters; every step must give the
         # same bits as the clip of every coordinate, the full linearization
-        # and the all-column products.
+        # and the all-column products.  The search runs one sweep from rows
+        # ``theta`` at ``fraction``: every objective it asks for is a
+        # violation, so no move beats its row.
         space = _variable_space(CalibrationOptions(symmetry=symmetry))
         theta = space.lo + np.array(u)[:, : len(space.names)] * (space.hi - space.lo)
         theta = np.minimum(theta, space.hi)
         conditions = _condition_matrix(share_matrix(points), space)
-        everything = _moves(space, np.ones_like(conditions))
-        moves = _moves(space, conditions)
-        assert np.array_equal(moves.keep, np.flatnonzero(conditions.any(axis=0)))
-        step = moves.sign * (fraction * (space.hi - space.lo))[moves.param]
+        scored = []
+
+        def recording(rows, linear, read_conditions, *args):
+            scored.append((rows, linear, read_conditions))
+            return np.ones((len(rows), 3))
+
+        with (
+            mock.patch.object(calibration, "_objectives", recording),
+            mock.patch.object(calibration, "_STEP_FRACTIONS", (fraction,)),
+        ):
+            calibration._lockstep_refine(theta, conditions, space, epsilon)
+        (_, _, start_conditions), (rows, linear, read_conditions) = scored
+        read = space.read
+        assert start_conditions.tobytes() == conditions[:, read].tobytes()
+        assert read_conditions.tobytes() == conditions[:, read].tobytes()
+
+        # Move 2i steps parameter read[i] up, move 2i + 1 steps it down.
+        param = np.repeat(read, 2)
+        step = np.tile((1.0, -1.0), len(read)) * (fraction * (space.hi - space.lo))[param]
         steps = np.zeros((len(step), len(space.names)))
-        steps[np.arange(len(step)), moves.param] = step
+        steps[np.arange(len(step)), param] = step
         full = np.minimum(np.maximum(theta[:, None] + steps, space.lo), space.hi)
+        full = full.reshape(-1, len(space.names))
+        assert rows.tobytes() == full.tobytes()
+        assert linear.tobytes() == space.linearize(full)[..., read].tobytes()
 
-        trials, linear = _moved_rows(theta, step, everything, space)
-        assert trials.tobytes() == full.tobytes()
-        assert linear.tobytes() == space.linearize(full).tobytes()
-        trials, linear = _moved_rows(theta, step, moves, space)
-        assert trials.tobytes() == full.tobytes()
-        assert linear.tobytes() == space.linearize(full)[..., moves.keep].tobytes()
-
-        rows = full.reshape(-1, len(space.names))
-        linear = linear.reshape(-1, len(moves.keep))
-        kept = conditions[:, moves.keep]
-        products = _products(rows, kept, space, linear)
-        assert products.tobytes() == _products(rows, conditions, space).tobytes()
-        value = _objectives(rows, kept, space, epsilon, linear)
-        assert np.array_equal(value, _objectives(rows, conditions, space, epsilon))
+        products = _products(linear, read_conditions)
+        assert products.tobytes() == _products(space.linearize(full), conditions).tobytes()
+        value = _objectives(full, linear, read_conditions, space, epsilon)
+        assert np.array_equal(value, all_column_objectives(full, conditions, space, epsilon))
 
 
 class TestDefaultBox:
@@ -1290,7 +1320,7 @@ class TestLongChain:
         conditions = _condition_matrix(share_matrix(data), space)
         rng = np.random.default_rng(5)
         theta = space.lo + rng.random((1000, len(space.lo))) * (space.hi - space.lo)
-        expected = _objectives(theta, conditions, space, opts.epsilon)
+        expected = all_column_objectives(theta, conditions, space, opts.epsilon)
         scored = []
 
         def recording(rows, *args):
@@ -1303,7 +1333,8 @@ class TestLongChain:
         per_block = calibration._BLOCK_PRODUCTS // (4 * len(data))
         assert per_block < min(len(theta), scored[1])
         monkeypatch.setattr(calibration, "_BLOCK_PRODUCTS", 1)
-        assert np.array_equal(_objectives(theta, conditions, space, opts.epsilon), expected)
+        after = all_column_objectives(theta, conditions, space, opts.epsilon)
+        assert np.array_equal(after, expected)
         assert calibrate_search(data, opts) == fit
 
     @pytest.mark.parametrize("symmetry, before", [(True, 1925), (False, 1288)])
